@@ -5,7 +5,7 @@
 # committed baseline.
 GO ?= go
 
-RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/loadgen/... ./cmd/vizserver/...
+RACE_PKGS := ./internal/store/... ./internal/breaker/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/loadgen/... ./cmd/vizserver/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
 BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/...
@@ -38,12 +38,12 @@ race:
 # detection, breaker transitions, and wire corruption via netchaos.
 chaos:
 	$(GO) test -race -count=5 -run=$(CHAOS_TESTS) ./internal/blocksvc/
-	$(GO) test -race -count=5 ./internal/netchaos/
+	$(GO) test -race -count=5 ./internal/breaker/... ./internal/netchaos/
 
 # chaos-smoke is the single-pass version for the check gate.
 chaos-smoke:
 	$(GO) test -race -count=1 -run=$(CHAOS_TESTS) ./internal/blocksvc/
-	$(GO) test -race -count=1 ./internal/netchaos/
+	$(GO) test -race -count=1 ./internal/breaker/... ./internal/netchaos/
 
 # spill-smoke runs the persistent-tier crash-recovery and disk-fault
 # degradation end-to-ends (plus the cross-stack policy parity pin) under
@@ -52,17 +52,18 @@ chaos-smoke:
 spill-smoke:
 	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker' ./internal/tier/
 
-# pipe-smoke runs the protocol-v4 wire-path suite under the race detector:
-# v3 interop, the compression codec round-trip, pipelined batches
-# multiplexed over one conn, the mid-response stall failover scope, and the
-# lying-compressed-header allocation bound.
+# pipe-smoke runs the wire-path suite under the race detector: the
+# compression codec round-trip, pipelined batches multiplexed over one conn,
+# the mid-response stall failover scope, and the lying-compressed-header
+# allocation bound.
 pipe-smoke:
-	$(GO) test -race -count=1 -run='TestProtocolV3Interop|TestCompressionRoundTrip|TestPipelined|TestStallMidResponse|TestLyingFlateHeader' ./internal/blocksvc/
+	$(GO) test -race -count=1 -run='TestCompressionRoundTrip|TestPipelined|TestStallMidResponse|TestLyingFlateHeader' ./internal/blocksvc/
 
 # cluster-smoke runs the sharded-cluster suite under the race detector: a
 # 3-node in-process cluster with client-side consistent-hash routing, one
 # node killed mid-orbit and the map rebalanced by a live topology push —
-# every frame must stay error-free, plus the redirect/drain/v3 wire pins.
+# every frame must stay error-free, plus the redirect/drain wire pins and the
+# refusal of a client without the shard capability.
 cluster-smoke:
 	$(GO) test -race -count=1 -run='TestCluster' ./internal/blocksvc/
 	$(GO) test -race -count=1 ./internal/shard/
@@ -84,8 +85,8 @@ bench-smoke:
 # bench-check is the perf gate: rerun the frame hot paths — local and remote
 # — and fail if ns/op regressed more than 25% past the committed baseline.
 # Re-record with `make bench` (and commit the JSON) when a deliberate change
-# moves them. The remote gate proves protocol-v3 liveness costs nothing on
-# the steady-state demand path.
+# moves them. The remote gate proves heartbeat liveness costs nothing on the
+# steady-state demand path.
 bench-check:
 	$(GO) test -bench='^BenchmarkFrame$$' -benchmem -run='^$$' ./internal/ooc/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25
 	$(GO) test -bench='^BenchmarkRemoteFrame$$' -benchmem -run='^$$' ./internal/blocksvc/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25

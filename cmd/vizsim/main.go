@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/blocksvc"
+	"repro/internal/breaker"
 	"repro/internal/cache"
 	"repro/internal/camera"
 	"repro/internal/entropy"
@@ -477,23 +478,7 @@ func reportMetrics(reg *obs.Registry) {
 			s.Counters["tier.spill_writes"], s.Counters["tier.spill_hits"],
 			s.Counters["tier.disk_faults"], s.Counters["tier.quarantined"],
 			s.Gauges["tier.occupancy_bytes"]>>20,
-			breakerState(s.Gauges["tier.breaker_state"]).String())
-	}
-}
-
-// breakerState mirrors the tier's gauge encoding for display.
-type breakerState int64
-
-func (s breakerState) String() string {
-	switch s {
-	case 0:
-		return "closed"
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
-	default:
-		return "unknown"
+			breaker.State(s.Gauges["tier.breaker_state"]).String())
 	}
 }
 

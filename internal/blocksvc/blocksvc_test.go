@@ -567,36 +567,50 @@ func TestInjectorWrapsRemoteReader(t *testing.T) {
 	}
 }
 
-// TestVersionMismatchRefused speaks the raw protocol with a wrong version:
-// the server must answer msgError, and a full client Dial against it must
-// fail permanently (retrying the same hello cannot help).
+// TestVersionMismatchRefused speaks the raw protocol with a version other
+// than ProtoVersion — the retired version 3 and a future one, each in a
+// well-formed hello and in the v3 shape without a caps word: the server
+// must answer msgError.
 func TestVersionMismatchRefused(t *testing.T) {
 	f := startService(t, svcOpts{})
-	ctx := context.Background()
-	conn, err := f.lis.Dial(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var e enc
-	e.u32(protoMagic)
-	e.u16(ProtoVersion + 99)
-	errc := make(chan error, 1)
-	go func() {
-		if err := writeFrame(conn, msgHello, e.b); err != nil {
-			errc <- err
+	for _, tc := range []struct {
+		version uint16
+		caps    bool
+	}{
+		{3, true},
+		{3, false},
+		{ProtoVersion + 99, true},
+		{ProtoVersion + 99, false},
+	} {
+		conn, err := f.lis.Dial(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		close(errc)
-	}()
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatalf("no refusal frame: %v", err)
-	}
-	if typ != msgError || len(payload) == 0 {
-		t.Errorf("refusal = type %d %q, want msgError", typ, payload)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+		var e enc
+		e.u32(protoMagic)
+		e.u16(tc.version)
+		if tc.caps {
+			e.u32(clientCaps)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			if err := writeFrame(conn, msgHello, e.b); err != nil {
+				errc <- err
+			}
+			close(errc)
+		}()
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("version %d (caps %v): no refusal frame: %v", tc.version, tc.caps, err)
+		}
+		if typ != msgError || len(payload) == 0 {
+			t.Errorf("version %d (caps %v): refusal = type %d %q, want msgError",
+				tc.version, tc.caps, typ, payload)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
 	}
 }
 
@@ -678,30 +692,72 @@ func TestConcurrentSessionsRace(t *testing.T) {
 	f.srv.Close()
 }
 
-// TestServeTCP exercises the default TCP transport end to end on loopback.
+// TestServeTCP exercises the default TCP transport end to end on loopback,
+// where responses go out as vectored writes: under every compression policy
+// and with server-cache recycling on (raw payloads staged as copies rather
+// than sent as views of a churning cache), every voxel of every block must
+// match a direct file read.
 func TestServeTCP(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	f := startService(t, svcOpts{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	go f.srv.Serve(l)
-	defer l.Close()
-	r, err := Dial(ClientConfig{Addr: l.Addr().String(), Retry: fastRetry(3)})
-	if err != nil {
-		t.Fatalf("tcp dial: %v", err)
-	}
-	defer r.Close()
-	vals, errs := r.ReadBlocks(context.Background(), []grid.BlockID{0, 1, 2, 3})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
-		}
-		want, _ := f.bf.ReadBlock(grid.BlockID(i))
-		if len(vals[i]) != len(want) || vals[i][0] != want[0] {
-			t.Errorf("block %d mismatch over tcp", i)
-		}
+	for _, tc := range []struct {
+		name    string
+		mode    CompressionMode
+		recycle bool
+	}{
+		{"off", CompressOff, false},
+		{"low-entropy", CompressLowEntropy, false},
+		{"all", CompressAll, false},
+		{"off-recycling", CompressOff, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			o := svcOpts{prefetch: true, mutate: func(c *Config) {
+				c.Compression = tc.mode
+				if tc.recycle {
+					c.Cache.EnableRecycling()
+				}
+			}}
+			if tc.recycle {
+				o.cacheBytes = 8 * 2048 // 8 of 64 blocks: eviction recycles buffers mid-read
+			}
+			f := startService(t, o)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Skipf("loopback listen unavailable: %v", err)
+			}
+			go f.srv.Serve(l)
+			defer l.Close()
+			r, err := Dial(ClientConfig{Addr: l.Addr().String(), Retry: fastRetry(3)})
+			if err != nil {
+				t.Fatalf("tcp dial: %v", err)
+			}
+			defer r.Close()
+			ids := f.g.All()
+			vals, errs := r.ReadBlocks(context.Background(), ids)
+			for i, id := range ids {
+				if errs[i] != nil {
+					t.Fatalf("block %d: %v", id, errs[i])
+				}
+				want, err := f.bf.ReadBlock(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(vals[i]) != len(want) {
+					t.Fatalf("block %d: %d voxels over tcp, want %d", id, len(vals[i]), len(want))
+				}
+				for j := range want {
+					if vals[i][j] != want[j] {
+						t.Fatalf("block %d voxel %d = %v over tcp, want %v", id, j, vals[i][j], want[j])
+					}
+				}
+			}
+			st := f.srv.Snapshot()
+			if st.BlocksOK != int64(len(ids)) {
+				t.Errorf("server BlocksOK = %d, want %d", st.BlocksOK, len(ids))
+			}
+			if compressed := st.CompressedBlocks > 0; compressed != (tc.mode != CompressOff) {
+				t.Errorf("mode %s compressed %d blocks", tc.name, st.CompressedBlocks)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -358,7 +359,7 @@ func (r *RemoteReader) newGroup(shardID string, eps []Endpoint) *shardGroup {
 			name:  name,
 			shard: shardID,
 			dial:  r.dialFuncFor(e),
-			br:    newBreaker(r.cfg.BreakerThreshold, r.cfg.BreakerBackoff, r.cfg.BreakerMaxBackoff),
+			br:    breaker.New(r.cfg.BreakerThreshold, r.cfg.BreakerBackoff, r.cfg.BreakerMaxBackoff),
 		})
 	}
 	g.key = groupKey(shardID, addrs)
@@ -376,11 +377,14 @@ func endpointsOf(sh shard.Shard) []Endpoint {
 
 // endpoint is one replica plus its health state.
 type endpoint struct {
-	idx      int
-	name     string
-	shard    string // owning group's shard ID (metric naming)
-	dial     func(ctx context.Context) (net.Conn, error)
-	br       *breaker
+	idx   int
+	name  string
+	shard string // owning group's shard ID (metric naming)
+	dial  func(ctx context.Context) (net.Conn, error)
+	// br counts only connectivity failures: a served response carrying
+	// per-block faults (checksum faults included) proves the endpoint works
+	// and closes it.
+	br       *breaker.Breaker
 	draining atomic.Bool // set by GOAWAY, cleared by a fresh successful handshake
 
 	dials    atomic.Int64 // successful connects to this endpoint
@@ -808,7 +812,7 @@ func (r *RemoteReader) adoptMap(m *shard.Map) bool {
 func (r *RemoteReader) pickEndpoint(g *shardGroup, avoid *endpoint) *endpoint {
 	now := time.Now()
 	for _, ep := range g.eps {
-		if ep != avoid && !ep.draining.Load() && ep.br.current() == brClosed {
+		if ep != avoid && !ep.draining.Load() && ep.br.State() == breaker.Closed {
 			return ep
 		}
 	}
@@ -816,7 +820,7 @@ func (r *RemoteReader) pickEndpoint(g *shardGroup, avoid *endpoint) *endpoint {
 		if ep == avoid || ep.draining.Load() {
 			continue
 		}
-		if ok, probe := ep.br.allow(now); ok {
+		if ok, probe := ep.br.Allow(now); ok {
 			if probe {
 				r.count(func(s *ClientStats) { s.BreakerProbes++ })
 			}
@@ -824,7 +828,7 @@ func (r *RemoteReader) pickEndpoint(g *shardGroup, avoid *endpoint) *endpoint {
 		}
 	}
 	for _, ep := range g.eps {
-		if ok, probe := ep.br.allow(now); ok {
+		if ok, probe := ep.br.Allow(now); ok {
 			if probe {
 				r.count(func(s *ClientStats) { s.BreakerProbes++ })
 			}
@@ -936,7 +940,7 @@ func (r *RemoteReader) acquire(ctx context.Context, g *shardGroup, avoid *endpoi
 
 // noteSuccess feeds a healthy round trip to the endpoint's breaker.
 func (r *RemoteReader) noteSuccess(ep *endpoint) {
-	if ep.br.success() {
+	if ep.br.Success() {
 		r.count(func(s *ClientStats) { s.BreakerCloses++ })
 	}
 }
@@ -944,7 +948,7 @@ func (r *RemoteReader) noteSuccess(ep *endpoint) {
 // noteFailure attributes a transport failure to the endpoint.
 func (r *RemoteReader) noteFailure(ep *endpoint) {
 	ep.failures.Add(1)
-	if ep.br.failure(time.Now()) {
+	if ep.br.Failure(time.Now()) {
 		r.count(func(s *ClientStats) { s.BreakerOpens++ })
 	}
 }
@@ -1255,7 +1259,7 @@ func (rc *rconn) takePending(req uint64) *pendingReq {
 // allocation — a lying length cannot over-allocate.
 func (rc *rconn) handleBlocks(payload []byte) error {
 	r := rc.r
-	it, ok := blocksHeader(payload, true)
+	it, ok := blocksHeader(payload)
 	if !ok {
 		return fmt.Errorf("bad blocks frame")
 	}
@@ -1296,7 +1300,7 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 			p.answered++
 			continue
 		}
-		if crc32.Checksum(it.Wire, castagnoli) != it.Sum {
+		if crc32.Checksum(it.Wire, store.Castagnoli) != it.Sum {
 			cksum++
 			p.errs[k] = fmt.Errorf("blocksvc: block %d corrupted in transit: %w",
 				id, faultio.Transient(faultio.ErrChecksum))
@@ -1306,7 +1310,7 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 		wireBytes += int64(len(it.Wire))
 		if it.Codec == codecRaw {
 			out := r.getBuf(len(it.Wire) / 4)
-			copyF32LE(out, it.Wire)
+			store.CopyF32LE(out, it.Wire)
 			p.vals[k] = out
 		} else {
 			want := r.g.VoxelCount(id) * 4
@@ -1360,10 +1364,10 @@ func (rc *rconn) inflateInto(dst []float32, wire []byte) error {
 	} else if err := rc.zr.(flate.Resetter).Reset(&rc.zsrc, nil); err != nil {
 		return err
 	}
-	raw := f32leBytes(dst)
+	raw := store.F32LEBytes(dst)
 	if raw == nil && len(dst) > 0 {
 		raw = make([]byte, len(dst)*4)
-		defer copyF32LE(dst, raw)
+		defer store.CopyF32LE(dst, raw)
 	}
 	if _, err := io.ReadFull(rc.zr, raw); err != nil {
 		return err

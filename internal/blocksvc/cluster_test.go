@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,7 +226,7 @@ func TestClusterRoutingValuesMatchLocal(t *testing.T) {
 	}
 }
 
-// TestClusterRedirectWire pins the redirect answer on the wire: a raw v4
+// TestClusterRedirectWire pins the redirect answer on the wire: a raw
 // capShard client asking one node for the whole dataset gets statusOK for
 // the node's owned blocks and a statusRedirect entry carrying the current
 // epoch for everything else — and the welcome itself carries the map.
@@ -286,7 +287,7 @@ func TestClusterRedirectWire(t *testing.T) {
 		if typ != msgBlocks {
 			t.Fatalf("unexpected frame type %d", typ)
 		}
-		it, ok := blocksHeader(payload, true)
+		it, ok := blocksHeader(payload)
 		if !ok || it.Req != 7 {
 			t.Fatalf("bad blocks prelude (req %d)", it.Req)
 		}
@@ -298,7 +299,7 @@ func TestClusterRedirectWire(t *testing.T) {
 				if !owned {
 					t.Fatalf("block %d served by shard a, owner is %d", id, f.ring.OwnerBlock(id))
 				}
-				if crc32.Checksum(it.Wire, castagnoli) != it.Sum {
+				if crc32.Checksum(it.Wire, store.Castagnoli) != it.Sum {
 					t.Fatalf("block %d wire checksum mismatch", id)
 				}
 				okBlocks++
@@ -331,10 +332,11 @@ func TestClusterRedirectWire(t *testing.T) {
 	}
 }
 
-// TestClusterV3AgainstClusterNode: a v3 client cannot decode redirects, so
-// a cluster node answers its non-owned blocks with a plain retryable
-// status in the v3 framing — and its welcome stays byte-compatible v3.
-func TestClusterV3AgainstClusterNode(t *testing.T) {
+// TestClusterRefusesHelloWithoutShardCap: a cluster node answers non-owned
+// blocks only with redirects, so a v4 client that does not advertise
+// capShard is refused at the handshake with an error frame — no welcome,
+// no session — and the connection is closed.
+func TestClusterRefusesHelloWithoutShardCap(t *testing.T) {
 	f := startCluster(t, []string{"a", "b"}, func(c *Config) {
 		c.HeartbeatInterval = -1
 	})
@@ -347,71 +349,24 @@ func TestClusterV3AgainstClusterNode(t *testing.T) {
 
 	var hello enc
 	hello.u32(protoMagic)
-	hello.u16(3)
+	hello.u16(ProtoVersion)
+	hello.u32(clientCaps &^ capShard)
 	if err := writeFrame(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
 	typ, payload, err := readFrame(br)
-	if err != nil || typ != msgWelcome {
-		t.Fatalf("welcome: typ=%d err=%v", typ, err)
+	if err != nil {
+		t.Fatalf("no refusal frame: %v", err)
 	}
-	w, ok := decodeWelcome(payload)
-	if !ok {
-		t.Fatal("welcome did not decode")
+	if typ != msgError || !strings.Contains(string(payload), "shard") {
+		t.Fatalf("refusal = type %d %q, want msgError naming the shard capability", typ, payload)
 	}
-	if w.Version != 3 || w.Caps != 0 || w.MaxRequests != 1 || w.ShardMap != nil {
-		t.Fatalf("v3 welcome against a cluster node changed shape: %+v", w)
+	if _, _, err := readFrame(br); err == nil {
+		t.Fatal("connection stayed open after the refusal")
 	}
-
-	ids := f.g.All()
-	var req enc
-	req.u64(5)
-	req.u32(0)
-	req.u32(uint32(len(ids)))
-	for _, id := range ids {
-		req.u32(uint32(id))
-	}
-	if err := writeFrame(conn, msgRead, req.b); err != nil {
-		t.Fatal(err)
-	}
-	var okBlocks, transient int
-	for {
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ == msgDone {
-			break
-		}
-		it, ok := blocksHeader(payload, false) // v3 framing
-		if !ok {
-			t.Fatal("bad blocks prelude")
-		}
-		for it.next() {
-			id := ids[it.First+it.k-1]
-			owned := f.ring.OwnerBlock(id) == 0
-			switch it.Status {
-			case statusOK:
-				if !owned {
-					t.Fatalf("block %d served by a non-owner", id)
-				}
-				okBlocks++
-			case statusTransient:
-				if owned {
-					t.Fatalf("owned block %d answered transient", id)
-				}
-				transient++
-			default:
-				t.Fatalf("block %d status %d (v3 must never see a redirect)", id, it.Status)
-			}
-		}
-		if !it.done() {
-			t.Fatal("blocks frame did not parse cleanly as v3")
-		}
-	}
-	if okBlocks == 0 || transient == 0 || okBlocks+transient != len(ids) {
-		t.Fatalf("ok=%d transient=%d of %d", okBlocks, transient, len(ids))
+	if st := n.srv.Snapshot(); st.Sessions != 0 {
+		t.Fatalf("refused hello counted as a session: %+v", st)
 	}
 }
 
@@ -655,7 +610,7 @@ func TestClusterEndToEndRebalance(t *testing.T) {
 	}
 }
 
-// TestClusterFlatClientStaysFlat pins the non-cluster v4 path: a flat
+// TestClusterFlatClientStaysFlat pins the non-cluster path: a flat
 // client against a non-cluster server negotiates no shard capability and
 // carries no topology — single-shard deployments are byte-for-byte
 // unaffected by the cluster machinery.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 // frameBytes encodes one complete wire frame for use as a fuzz seed.
@@ -24,11 +25,14 @@ func frameBytes(t testing.TB, typ byte, payload []byte) []byte {
 
 // seedFrames builds one valid frame of every client→server and handshake
 // message, so the fuzzer starts from the interesting corners of the format
-// instead of rediscovering the header layout.
+// instead of rediscovering the header layout. The version-3 shapes (hello
+// without a caps word, welcome without caps and maxRequests, blocks entries
+// without a codec byte) are no longer spoken by anyone and stay as hostile
+// input the decoders must refuse or bound.
 func seedFrames(t testing.TB) [][]byte {
 	var hello3 enc
 	hello3.u32(protoMagic)
-	hello3.u16(ProtoVersionMin) // v3 hello: no capability word
+	hello3.u16(3) // v3-shaped hello: no capability word
 
 	var hello enc
 	hello.u32(protoMagic)
@@ -36,7 +40,7 @@ func seedFrames(t testing.TB) [][]byte {
 	hello.u32(clientCaps)
 
 	var welcome3 enc
-	welcome3.u16(ProtoVersionMin)
+	welcome3.u16(3) // v3-shaped welcome: no caps or maxRequests
 	welcome3.u64(7)
 	for _, v := range []uint32{16, 16, 16, 4, 4, 4, 1, 64, 3, 5000} {
 		welcome3.u32(v)
@@ -51,7 +55,7 @@ func seedFrames(t testing.TB) [][]byte {
 	welcome.u32(capCompress) // negotiated caps
 	welcome.u32(4)           // pipelining allowance
 
-	// v4 blocks frame: one raw and one DEFLATE entry, checksummed like the
+	// Blocks frame: one raw and one DEFLATE entry, checksummed like the
 	// server writes them — plus a liar that declares a huge decoded size.
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	var blocks4 enc
@@ -62,15 +66,15 @@ func seedFrames(t testing.TB) [][]byte {
 	blocks4.u8(codecRaw)
 	blocks4.u32(uint32(len(raw)))
 	blocks4.raw(raw)
-	blocks4.u32(crc32.Checksum(raw, castagnoli))
+	blocks4.u32(crc32.Checksum(raw, store.Castagnoli))
 	blocks4.u8(byte(statusOK))
 	blocks4.u8(codecFlate)
 	blocks4.u32(1 << 30) // lying rawBytes: decode layers must bound, not trust
 	blocks4.u32(uint32(len(raw)))
 	blocks4.raw(raw)
-	blocks4.u32(crc32.Checksum(raw, castagnoli))
+	blocks4.u32(crc32.Checksum(raw, store.Castagnoli))
 
-	// v3 blocks frame: status + nbytes + payload + crc, no codec byte.
+	// v3-shaped blocks frame: status + nbytes + payload + crc, no codec byte.
 	var blocks3 enc
 	blocks3.u64(9)
 	blocks3.u32(0)
@@ -78,7 +82,7 @@ func seedFrames(t testing.TB) [][]byte {
 	blocks3.u8(byte(statusOK))
 	blocks3.u32(uint32(len(raw)))
 	blocks3.raw(raw)
-	blocks3.u32(crc32.Checksum(raw, castagnoli))
+	blocks3.u32(crc32.Checksum(raw, store.Castagnoli))
 
 	// capShard welcome: negotiated caps include the shard bit, so the
 	// topology map rides length-prefixed behind the pipelining allowance.
@@ -126,7 +130,7 @@ func seedFrames(t testing.TB) [][]byte {
 	blocksRedir.u8(codecRaw)
 	blocksRedir.u32(uint32(len(raw)))
 	blocksRedir.raw(raw)
-	blocksRedir.u32(crc32.Checksum(raw, castagnoli))
+	blocksRedir.u32(crc32.Checksum(raw, store.Castagnoli))
 
 	var ping enc
 	ping.u64(99)
@@ -216,25 +220,23 @@ func FuzzWireDecode(f *testing.F) {
 		case msgGoaway:
 			decodeGoaway(payload)
 		case msgBlocks:
-			// The demux loop's parser, in both framings. Wire must always
-			// be a view into the payload — the iterator never allocates,
-			// so a lying size header cannot drive allocation here.
-			for _, v4 := range []bool{false, true} {
-				it, ok := blocksHeader(payload, v4)
-				if !ok {
-					continue
+			// The demux loop's parser. Wire must always be a view into the
+			// payload — the iterator never allocates, so a lying size
+			// header cannot drive allocation here.
+			it, ok := blocksHeader(payload)
+			if !ok {
+				return
+			}
+			for it.next() {
+				if len(it.Wire) > len(payload) {
+					t.Fatalf("entry %d claims %d wire bytes from a %d-byte frame",
+						it.k, len(it.Wire), len(payload))
 				}
-				for it.next() {
-					if len(it.Wire) > len(payload) {
-						t.Fatalf("entry %d claims %d wire bytes from a %d-byte frame",
-							it.k, len(it.Wire), len(payload))
-					}
-				}
-				// Prelude is 14 bytes and every entry carries ≥1 byte.
-				if it.done() && it.N > len(payload)-14 {
-					t.Fatalf("%d entries parsed cleanly from %d payload bytes",
-						it.N, len(payload))
-				}
+			}
+			// Prelude is 14 bytes and every entry carries ≥1 byte.
+			if it.done() && it.N > len(payload)-14 {
+				t.Fatalf("%d entries parsed cleanly from %d payload bytes",
+					it.N, len(payload))
 			}
 		}
 	})

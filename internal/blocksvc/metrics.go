@@ -166,8 +166,8 @@ func (m *clientMetrics) registerGroup(g *shardGroup) {
 		prefix := endpointMetricPrefix(g.name, ep.idx)
 		m.reg.CounterFunc(prefix+"dials", ep.dials.Load)
 		m.reg.CounterFunc(prefix+"failures", ep.failures.Load)
-		// 0=closed, 1=open, 2=half-open (breakerState values).
-		m.reg.GaugeFunc(prefix+"breaker_state", func() int64 { return int64(ep.br.current()) })
+		// 0=closed, 1=open, 2=half-open (breaker.State values).
+		m.reg.GaugeFunc(prefix+"breaker_state", func() int64 { return int64(ep.br.State()) })
 		m.reg.GaugeFunc(prefix+"draining", func() int64 {
 			if ep.draining.Load() {
 				return 1

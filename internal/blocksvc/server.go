@@ -25,11 +25,11 @@ import (
 )
 
 // CompressionMode selects which blocks the server offers to DEFLATE on the
-// wire when a v4 client negotiates capCompress.
+// wire when a client negotiates capCompress.
 type CompressionMode int
 
 const (
-	// CompressOff never compresses (the v3 wire behavior).
+	// CompressOff never compresses.
 	CompressOff CompressionMode = iota
 	// CompressLowEntropy compresses only blocks whose T_important entropy
 	// score is below the threshold — the paper's ambient blocks, which
@@ -112,21 +112,20 @@ type Config struct {
 	// writing the welcome to a peer that never drains its receive buffer
 	// (default 10s).
 	HandshakeTimeout time.Duration
-	// Compression selects the wire codec policy for v4 clients that
-	// negotiate capCompress; v3 clients always get raw payloads. The
-	// default is CompressOff.
+	// Compression selects the wire codec policy for clients that negotiate
+	// capCompress. The default is CompressOff.
 	Compression CompressionMode
 	// CompressThreshold is the entropy score below which
 	// CompressLowEntropy compresses a block; 0 means the median of Imp's
 	// score distribution (resolved once at NewServer).
 	CompressThreshold float64
 	// ShardMap, when non-nil, runs the server in cluster mode: this node is
-	// one shard of a consistent-hash cluster, admits only the blocks it
-	// owns (answering others with a redirect carrying the current epoch,
-	// or a transient fault for peers that did not negotiate capShard), and
-	// advertises the topology in every capShard welcome. ShardID names
-	// this node's shard in the map. Topology changes arrive through
-	// UpdateShardMap and are pushed to connected capShard clients.
+	// one shard of a consistent-hash cluster, refuses clients that do not
+	// advertise capShard, admits only the blocks it owns (answering others
+	// with a redirect carrying the current epoch), and advertises the
+	// topology in every welcome. ShardID names this node's shard in the
+	// map. Topology changes arrive through UpdateShardMap and are pushed to
+	// connected clients.
 	ShardMap *shard.Map
 	// ShardID is this node's shard identity within ShardMap. Required in
 	// cluster mode.
@@ -326,7 +325,7 @@ func (t *serverTopology) owns(id grid.BlockID) bool {
 }
 
 // notOwnedError marks a block the addressed shard does not own under the
-// given epoch; sendRun encodes it as a redirect entry for capShard peers.
+// given epoch; sendRun encodes it as a redirect entry.
 type notOwnedError struct{ epoch uint64 }
 
 func (e *notOwnedError) Error() string {
@@ -591,18 +590,16 @@ type session struct {
 	writeMu sync.Mutex // serializes frames of concurrent responses
 	bw      *bufio.Writer
 
-	// Negotiated at handshake: the client's protocol version and the
-	// capability bits both sides advertised. wireCaps mirrors caps for
-	// readers outside the session's own goroutines (topology broadcasts);
-	// it is published only after the welcome is on the wire, so a pushed
-	// frame can never precede it.
-	ver      uint16
+	// Negotiated at handshake: the capability bits both sides advertised.
+	// wireCaps mirrors caps for readers outside the session's own goroutines
+	// (topology broadcasts); it is published only after the welcome is on
+	// the wire, so a pushed frame can never precede it.
 	caps     uint32
 	wireCaps atomic.Uint32
-	// tcp is non-nil when the transport supports vectored writes; zeroCopy
-	// additionally requires that cache buffers are immutable once handed
-	// out (recycling off), so payload views on a net.Buffers can't be
-	// rewritten mid-writev.
+	// tcp is non-nil when the transport supports vectored writes. zeroCopy
+	// reports that cache buffers are immutable once handed out (a
+	// little-endian host with recycling off), so raw payloads can go out
+	// as views of them instead of staged copies.
 	tcp      *net.TCPConn
 	zeroCopy bool
 
@@ -761,29 +758,31 @@ func (ss *session) handshake() error {
 		ss.fail("bad hello")
 		return fmt.Errorf("blocksvc: bad hello")
 	}
-	if hello.Version < ProtoVersionMin || hello.Version > ProtoVersion {
-		ss.fail(fmt.Sprintf("protocol version %d unsupported (server speaks %d-%d)",
-			hello.Version, ProtoVersionMin, ProtoVersion))
+	if hello.Version != ProtoVersion {
+		ss.fail(fmt.Sprintf("protocol version %d unsupported (server speaks %d)",
+			hello.Version, ProtoVersion))
 		return fmt.Errorf("blocksvc: version mismatch")
 	}
-	// Answer in the client's version: a v3 client gets the exact v3 welcome
-	// and wire framing it has always seen; a v4 client additionally gets the
-	// intersected capability bits and its pipelining allowance.
-	ss.ver = hello.Version
 	serverCaps := uint32(0)
 	if ss.s.cfg.Compression != CompressOff {
 		serverCaps |= capCompress
 	}
 	topo := ss.s.topo.Load()
 	if topo != nil {
+		// A cluster node answers non-owned blocks only with redirects, which
+		// a client without capShard cannot follow.
+		if hello.Caps&capShard == 0 {
+			ss.fail("cluster node requires the shard capability")
+			return fmt.Errorf("blocksvc: hello without capShard")
+		}
 		serverCaps |= capShard
 	}
 	ss.caps = hello.Caps & serverCaps
 	ss.tcp, _ = ss.conn.(*net.TCPConn)
-	ss.zeroCopy = ss.tcp != nil && hostLittleEndian && !ss.s.cfg.Cache.RecyclingEnabled()
+	ss.zeroCopy = store.HostLittleEndian && !ss.s.cfg.Cache.RecyclingEnabled()
 	h := ss.s.cfg.Header
 	var e enc
-	e.u16(ss.ver)
+	e.u16(ProtoVersion)
 	e.u64(ss.id)
 	e.u32(uint32(h.Res.X))
 	e.u32(uint32(h.Res.Y))
@@ -795,17 +794,14 @@ func (ss *session) handshake() error {
 	e.u32(uint32(h.Blocks))
 	e.u32(uint32(h.Version))
 	e.u32(uint32(ss.s.cfg.heartbeat() / time.Millisecond))
-	if ss.ver >= 4 {
-		e.u32(ss.caps)
-		e.u32(uint32(ss.s.cfg.MaxSessionRequests))
-		if ss.caps&capShard != 0 {
-			// Advertise the cluster topology, length-prefixed, so the
-			// client becomes a router before its first read. Plain-v4 and
-			// v3 welcomes stay byte-identical to what they always were.
-			raw := topo.m.AppendBinary(nil)
-			e.u32(uint32(len(raw)))
-			e.raw(raw)
-		}
+	e.u32(ss.caps)
+	e.u32(uint32(ss.s.cfg.MaxSessionRequests))
+	if ss.caps&capShard != 0 {
+		// Advertise the cluster topology, length-prefixed, so the client
+		// becomes a router before its first read.
+		raw := topo.m.AppendBinary(nil)
+		e.u32(uint32(len(raw)))
+		e.raw(raw)
 	}
 	if err := ss.send(msgWelcome, e.b); err != nil {
 		return err
@@ -974,12 +970,6 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 	ss.send(msgDone, e.b)
 }
 
-// errNotOwnedPlain answers a non-capShard (v3 or plain-v4) client asking a
-// cluster node for a block it does not own. Those clients cannot decode the
-// redirect's epoch payload, so they get an ordinary retryable status and
-// their existing failover machinery finds another node.
-var errNotOwnedPlain = fmt.Errorf("blocksvc: block not owned by this shard: %w", faultio.ErrTransient)
-
 // serveRunSharded answers one run on a cluster node: only owned blocks go
 // through the shared cache (preserving the per-shard singleflight
 // invariant — a non-owned request never triggers a backing read here), and
@@ -997,11 +987,7 @@ func (ss *session) serveRunSharded(ctx context.Context, run []grid.BlockID, topo
 			pos = append(pos, i)
 			continue
 		}
-		if ss.caps&capShard != 0 {
-			errs[i] = &notOwnedError{epoch: topo.m.Epoch}
-		} else {
-			errs[i] = errNotOwnedPlain
-		}
+		errs[i] = &notOwnedError{epoch: topo.m.Epoch}
 	}
 	if len(owned) > 0 {
 		ov, oh, oe := ss.s.cfg.Cache.GetBatch(ctx, owned)
@@ -1063,15 +1049,15 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 }
 
 // runScratch is everything one in-flight request needs to encode its
-// response runs: frame staging, flate output, and the writev assembly.
-// Pooled per request — a session serves up to MaxSessionRequests
-// concurrently, so this state cannot live on the session.
+// response runs: frame staging, flate output, and the payload views spliced
+// between staging segments. Pooled per request — a session serves up to
+// MaxSessionRequests concurrently, so this state cannot live on the session.
 type runScratch struct {
 	e    enc
 	z    sliceWriter // flate output staging
-	cuts []int       // sendRunVec: staging offsets where payloads insert
-	pays [][]byte    // sendRunVec: payload views, parallel to cuts
-	bufs net.Buffers // sendRunVec: assembled iovec
+	cuts []int       // staging offsets where payload views insert
+	pays [][]byte    // payload views, parallel to cuts
+	bufs net.Buffers // staging segments interleaved with the views
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -1090,18 +1076,11 @@ func putRunScratch(rs *runScratch) { runScratchPool.Put(rs) }
 func (rs *runScratch) flateInto(vals []float32) (int, bool) {
 	rs.z.b = rs.z.b[:0]
 	fw := getFlateWriter(&rs.z)
-	var err error
-	if src := f32leBytes(vals); src != nil {
-		_, err = fw.Write(src)
-	} else {
-		var tmp [4]byte
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(tmp[:], math.Float32bits(v))
-			if _, err = fw.Write(tmp[:]); err != nil {
-				break
-			}
-		}
+	src := store.F32LEBytes(vals)
+	if src == nil {
+		src = store.AppendF32LE(nil, vals)
 	}
+	_, err := fw.Write(src)
 	if err == nil {
 		err = fw.Close()
 	}
@@ -1116,28 +1095,29 @@ func (rs *runScratch) flateInto(vals []float32) (int, bool) {
 	e.u32(uint32(raw))
 	e.u32(uint32(wire))
 	e.raw(rs.z.b)
-	e.u32(crc32.Checksum(rs.z.b, castagnoli))
+	e.u32(crc32.Checksum(rs.z.b, store.Castagnoli))
 	return wire, true
 }
 
-// sendRun encodes one run of results as a blocks frame and ships it. v4
-// sessions get a per-block codec byte and, when negotiated, DEFLATE
-// payloads for the blocks the policy selects; on a TCP transport with
-// cache recycling off, an uncompressed run skips payload staging entirely
-// and goes out as one vectored write (sendRunVec).
+// sendRun encodes one run of results as a blocks frame and ships it. The
+// staging holds the frame header, every block's metadata and any DEFLATE
+// payloads the compression policy selected; raw payloads go out as views
+// of the cache's buffers when those are immutable (zeroCopy) and as staged
+// copies otherwise. The frame length is patched in once the run is encoded.
 func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
 	vals [][]float32, errs []error) bool {
-	compress := ss.ver >= 4 && ss.caps&capCompress != 0 && ss.s.cfg.Compression != CompressOff
-	if ss.zeroCopy && !compress {
-		return ss.sendRunVec(rs, req, firstIdx, ids, vals, errs)
-	}
+	compress := ss.caps&capCompress != 0
 	var okCount, failCount, redirects, sent int64
 	var zBlocks, zSkipped, zIn, zOut int64
 	e := &rs.e
 	e.reset()
+	e.u32(0) // frame length, patched below
+	e.u8(msgBlocks)
 	e.u64(req)
 	e.u32(uint32(firstIdx))
 	e.u16(uint16(len(ids)))
+	cuts, pays := rs.cuts[:0], rs.pays[:0]
+	viewBytes := 0
 	for i := range ids {
 		if errs[i] != nil {
 			if no, ok := errs[i].(*notOwnedError); ok {
@@ -1163,15 +1143,28 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 			}
 			zSkipped++
 		}
-		if ss.ver >= 4 {
-			e.u8(codecRaw)
-		}
-		off := len(e.b)
+		e.u8(codecRaw)
 		e.u32(uint32(raw))
-		e.b = appendF32LE(e.b, vals[i])
-		e.u32(crc32.Checksum(e.b[off+4:], castagnoli))
+		if ss.zeroCopy {
+			pay := store.F32LEBytes(vals[i])
+			cuts = append(cuts, len(e.b))
+			pays = append(pays, pay)
+			viewBytes += len(pay)
+			e.u32(crc32.Checksum(pay, store.Castagnoli))
+		} else {
+			off := len(e.b)
+			e.b = store.AppendF32LE(e.b, vals[i])
+			e.u32(crc32.Checksum(e.b[off:], store.Castagnoli))
+		}
 		sent += int64(raw)
 	}
+	rs.cuts, rs.pays = cuts[:0], pays[:0]
+	defer clear(pays) // drop the views so the pooled scratch pins no cache memory
+	n := len(e.b) - frameHeaderSize + viewBytes
+	if n > maxFrameBytes {
+		return false
+	}
+	binary.LittleEndian.PutUint32(e.b, uint32(n))
 	ss.s.count(func(st *ServerStats) {
 		st.Blocks += int64(len(ids))
 		st.BlocksOK += okCount
@@ -1183,94 +1176,41 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 		st.CompressBytesIn += zIn
 		st.CompressBytesOut += zOut
 	})
-	return ss.send(msgBlocks, e.b) == nil
-}
-
-// sendRunVec ships one run as a single vectored write: staging holds only
-// the frame header and per-block metadata, while every OK payload segment
-// is a view straight into the cache-owned float32 slice (immutable here —
-// zeroCopy requires recycling off). One writev, zero payload copies.
-func (ss *session) sendRunVec(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
-	vals [][]float32, errs []error) bool {
-	e := &rs.e
-	var okCount, failCount, redirects, sent int64
-	total := 8 + 4 + 2
-	for i := range ids {
-		total++ // status byte
-		if errs[i] == nil {
-			if ss.ver >= 4 {
-				total++ // codec byte
-			}
-			total += 4 + len(vals[i])*4 + 4
-		} else if _, ok := errs[i].(*notOwnedError); ok {
-			total += 8 // redirect epoch
-		}
-	}
-	if total > maxFrameBytes {
-		return false
-	}
-	// Staging layout: frame header, then meta runs split at each payload
-	// insertion point. Offsets (not views) are recorded during encoding so
-	// staging growth can't invalidate anything.
-	e.reset()
-	e.u32(uint32(total))
-	e.u8(msgBlocks)
-	e.u64(req)
-	e.u32(uint32(firstIdx))
-	e.u16(uint16(len(ids)))
-	cuts := rs.cuts[:0]
-	pays := rs.pays[:0]
-	for i := range ids {
-		if errs[i] != nil {
-			if no, ok := errs[i].(*notOwnedError); ok {
-				redirects++
-				e.u8(byte(statusRedirect))
-				e.u64(no.epoch)
-				continue
-			}
-			failCount++
-			e.u8(byte(statusOf(errs[i])))
-			continue
-		}
-		okCount++
-		e.u8(byte(statusOK))
-		if ss.ver >= 4 {
-			e.u8(codecRaw)
-		}
-		pay := f32leBytes(vals[i])
-		e.u32(uint32(len(pay)))
-		cuts = append(cuts, len(e.b))
-		pays = append(pays, pay)
-		e.u32(crc32.Checksum(pay, castagnoli))
-		sent += int64(len(pay))
-	}
 	bufs := rs.bufs[:0]
 	prev := 0
 	for k, cut := range cuts {
 		bufs = append(bufs, e.b[prev:cut], pays[k])
 		prev = cut
 	}
-	if prev < len(e.b) {
-		bufs = append(bufs, e.b[prev:])
-	}
-	rs.cuts, rs.pays = cuts, pays
-	ss.s.count(func(st *ServerStats) {
-		st.Blocks += int64(len(ids))
-		st.BlocksOK += okCount
-		st.BlocksFailed += failCount
-		st.Redirects += redirects
-		st.BytesSent += sent
-	})
+	bufs = append(bufs, e.b[prev:])
+	// The write consumes rs.bufs in place (pooled memory, so handing it
+	// over allocates nothing); the local header restores it afterwards.
+	rs.bufs = bufs
+	err := ss.writeBufs(&rs.bufs)
+	clear(bufs)
+	rs.bufs = bufs[:0]
+	return err == nil
+}
+
+// writeBufs writes one frame's segments under the write lock: as a single
+// vectored write on TCP (after flushing anything buffered ahead of it),
+// through the buffered writer on any other transport.
+func (ss *session) writeBufs(bufs *net.Buffers) error {
 	ss.writeMu.Lock()
 	defer ss.writeMu.Unlock()
-	if err := ss.bw.Flush(); err != nil {
-		return false
+	if ss.tcp != nil {
+		if err := ss.bw.Flush(); err != nil {
+			return err
+		}
+		_, err := bufs.WriteTo(ss.tcp)
+		return err
 	}
-	// Keep the assembled array for the next run before WriteTo consumes the
-	// local header.
-	rs.bufs = bufs[:0]
-	_, err := bufs.WriteTo(ss.tcp)
-	return err == nil
+	for _, b := range *bufs {
+		if _, err := ss.bw.Write(b); err != nil {
+			return err
+		}
+	}
+	return ss.bw.Flush()
 }
 
 // handleView updates the session's predicted working set: the client's
@@ -1287,28 +1227,15 @@ func (ss *session) handleView(payload []byte) bool {
 		ss.fail("bad view update")
 		return false
 	}
-	ss.s.count(func(st *ServerStats) { st.ViewUpdates++ })
 	if ss.prefetchCh == nil {
+		ss.s.count(func(st *ServerStats) { st.ViewUpdates++ })
 		return true
 	}
-	target := pos
+	target, kind := pos, camera.PredictLast
 	if ss.pred != nil {
 		ss.pred.Observe(pos)
-		var kind camera.PredictKind
 		target, kind = ss.pred.Predict()
 		ss.predViews.Add(1)
-		ss.s.count(func(st *ServerStats) {
-			switch kind {
-			case camera.PredictDwell:
-				st.PredictDwell++
-			case camera.PredictLinear:
-				st.PredictLinear++
-			case camera.PredictAngular:
-				st.PredictAngular++
-			default:
-				st.PredictLast++
-			}
-		})
 	}
 	var issued, dropped int64
 	topo := ss.s.topo.Load()
@@ -1342,12 +1269,26 @@ func (ss *session) handleView(payload []byte) bool {
 			dropped++
 		}
 	}
-	if issued > 0 || dropped > 0 {
-		ss.s.count(func(st *ServerStats) {
-			st.PrefetchIssued += issued
-			st.PrefetchDropped += dropped
-		})
-	}
+	// One update for the view and everything it issued: a snapshot that
+	// shows n views also shows their prefetches.
+	ss.s.count(func(st *ServerStats) {
+		st.ViewUpdates++
+		st.PrefetchIssued += issued
+		st.PrefetchDropped += dropped
+		if ss.pred == nil {
+			return
+		}
+		switch kind {
+		case camera.PredictDwell:
+			st.PredictDwell++
+		case camera.PredictLinear:
+			st.PredictLinear++
+		case camera.PredictAngular:
+			st.PredictAngular++
+		default:
+			st.PredictLast++
+		}
+	})
 	return true
 }
 

@@ -7,25 +7,29 @@
 //
 // # Wire format
 //
-// Every message is one frame: a 4-byte little-endian payload length, a
-// 1-byte message type, then the payload. A connection opens with
-// hello/welcome (magic + protocol version negotiation; the welcome carries
-// the served volume's geometry and a server-assigned session id), after
-// which the client sends read requests and view updates:
+// The package speaks exactly one protocol, version 4. Every message is one
+// frame: a 4-byte little-endian payload length, a 1-byte message type, then
+// the payload. A connection opens with hello/welcome (magic, version and
+// capability bits; the welcome carries the served volume's geometry, a
+// server-assigned session id, the liveness cadence and the pipelining
+// allowance), after which the client sends read requests and view updates:
 //
-//	hello   c→s  magic u32, version u16 [, caps u32 when version ≥ 4]
+//	hello   c→s  magic u32, version u16, caps u32
 //	welcome s→c  version u16, session u64, res 3×u32, block 3×u32,
 //	             variable u32, blocks u32, storeVersion u32,
-//	             heartbeatMillis u32 (0 = liveness disabled)
-//	             [, caps u32, maxRequests u32 when version ≥ 4]
+//	             heartbeatMillis u32 (0 = liveness disabled),
+//	             caps u32, maxRequests u32
+//	             [, mapBytes u32, shard.Map when caps has capShard]
 //	read    c→s  req u64, deadlineMillis u32, n u32, n×u32 block ids
 //	view    c→s  camera position 3×f64 (no response; drives server prefetch)
 //	blocks  s→c  req u64, firstIdx u32, n u16, then per block:
-//	             v3: status u8 [+ nbytes u32, payload, crc32c u32 when OK]
-//	             v4: status u8 [+ codec u8, then
-//	                 raw:   nbytes u32, payload, crc32c u32
-//	                 flate: rawBytes u32, wireBytes u32, compressed payload,
-//	                        crc32c u32 (over the compressed bytes)  when OK]
+//	             status u8, then
+//	               OK:       codec u8, then
+//	                 raw:    nbytes u32, payload, crc32c u32
+//	                 flate:  rawBytes u32, wireBytes u32, compressed payload,
+//	                         crc32c u32 (over the compressed bytes)
+//	               redirect: epoch u64
+//	               other:    nothing
 //	done    s→c  req u64 (every requested index has been answered)
 //	shed    s→c  req u64 (request refused by admission control; retryable)
 //	error   s→c  message string (fatal protocol error; connection closes)
@@ -37,35 +41,34 @@
 //	             epoch-bumped cluster topology; clients adopt strictly
 //	             higher epochs and re-route pending work
 //
+// A hello in any other version or shape is refused with an error frame.
+//
 // Responses stream: the server answers a read with a sequence of blocks
 // frames — one per merged run of consecutive results — and a final done.
-// Block payloads are raw little-endian float32 voxels guarded by a CRC32C
-// so in-transit corruption is detected at the client and classified as a
+// Block payloads are little-endian float32 voxels guarded by a CRC32C so
+// in-transit corruption is detected at the client and classified as a
 // retryable checksum fault.
 //
-// # Protocol v4: pipelining and entropy-aware compression
+// # Pipelining and entropy-aware compression
 //
-// The req field has always tagged responses back to their request; v4 makes
-// that tagging load-bearing: a client may keep several tagged read requests
-// in flight on one connection (up to the welcome's maxRequests) and the
-// server's responses interleave at frame granularity, demuxed client-side
-// by req. v4 also negotiates an optional wire codec via the hello/welcome
-// caps bits (capCompress): when both sides advertise it, the server may
-// DEFLATE-compress individual block payloads — choosing blocks by entropy,
-// since the paper's T_important already knows which blocks are low-entropy
-// ambient data that compresses extremely well — and says so in a per-block
-// codec byte. A compressed block carries its decoded size first, which the
-// client validates against the block geometry before allocating, so a lying
-// size header cannot over-allocate. A v3 peer negotiates the old framing
-// exactly as before; both sides stay bidirectionally compatible.
+// The req field tags responses back to their request: a client may keep
+// several tagged read requests in flight on one connection (up to the
+// welcome's maxRequests) and the server's responses interleave at frame
+// granularity, demuxed client-side by req. The optional wire codec is
+// negotiated via the capCompress bit: when both sides advertise it, the
+// server may DEFLATE-compress individual block payloads — choosing blocks
+// by entropy, since the paper's T_important already knows which blocks are
+// low-entropy ambient data that compresses extremely well — and says so in
+// the per-block codec byte. A compressed block carries its decoded size
+// first, which the client validates against the block geometry before
+// allocating, so a lying size header cannot over-allocate.
 //
 // # Liveness and lifecycle
 //
-// Protocol v3 adds heartbeats and graceful drain. The welcome advertises
-// the server's heartbeat interval; from then on each side sends a ping at
-// that cadence whenever its end is otherwise quiet and arms a read
-// deadline of twice the interval, so a dead or wedged peer — one that
-// stops producing any frames, not just pongs — is detected within
+// The welcome advertises the server's heartbeat interval; from then on each
+// side sends a ping at that cadence whenever its end is otherwise quiet and
+// arms a read deadline of twice the interval, so a dead or wedged peer —
+// one that stops producing any frames, not just pongs — is detected within
 // 2×interval and its session torn down instead of leaking. GOAWAY is the
 // server's drain announcement: requests already on the wire are served,
 // after which the connection will close; a failover-aware client shifts
@@ -73,16 +76,15 @@
 //
 // # Sharded clusters
 //
-// capShard (v4) turns a set of servers into a consistent-hash cluster.
-// A cluster-mode server appends its shard.Map (length-prefixed) to the
-// welcome when both sides advertise capShard; the client routes each block
-// to its ring owner from then on. Topology changes travel as topology
-// frames carrying the full epoch-bumped map. A block requested from a
-// node that does not own it is answered with statusRedirect plus the
-// node's epoch — never served — so cross-node cache duplication cannot
-// happen silently; peers without capShard get statusTransient instead,
-// which their ordinary retry path handles. Non-cluster servers send no
-// map, and the client behaves exactly as before: one shard, N replicas.
+// capShard turns a set of servers into a consistent-hash cluster. A
+// cluster-mode server requires capShard in the hello and refuses a client
+// without it; it appends its shard.Map (length-prefixed) to the welcome,
+// and the client routes each block to its ring owner from then on.
+// Topology changes travel as topology frames carrying the full
+// epoch-bumped map. A block requested from a node that does not own it is
+// answered with statusRedirect plus the node's epoch — never served — so
+// cross-node cache duplication cannot happen silently. Non-cluster servers
+// send no map, and the client behaves as one shard with N replicas.
 //
 // # Fault classes over the wire
 //
@@ -100,30 +102,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"sync"
-	"unsafe"
 
 	"repro/internal/faultio"
 	"repro/internal/grid"
 )
 
-// Protocol identity. The version is negotiated at hello/welcome: the server
-// answers in the client's version when it speaks it (ProtoVersionMin through
-// ProtoVersion) and refuses anything else with msgError. Version 3 added
-// liveness (ping/pong + welcome heartbeat field) and drain (goaway); there
-// was no released version 2. Version 4 added capability negotiation,
-// pipelined tagged requests, and the per-block wire codec.
+// Protocol identity. The server accepts only a hello in ProtoVersion and
+// refuses anything else with msgError.
 const (
-	protoMagic      uint32 = 0x62737663 // "bsvc"
-	ProtoVersion    uint16 = 4
-	ProtoVersionMin uint16 = 3
+	protoMagic   uint32 = 0x62737663 // "bsvc"
+	ProtoVersion uint16 = 4
 )
 
-// Capability bits exchanged in the v4 hello/welcome. A capability is in
-// effect only when both sides advertise it.
+// Capability bits exchanged in the hello/welcome. A capability is in effect
+// only when both sides advertise it.
 const (
 	capCompress uint32 = 1 << 0 // per-block DEFLATE wire codec
 	capShard    uint32 = 1 << 1 // sharded topology: welcome map, topology pushes, redirects
@@ -132,9 +126,9 @@ const (
 // clientCaps is what this client implementation advertises.
 const clientCaps = capCompress | capShard
 
-// Per-block payload codecs (v4 blocks frames).
+// Per-block payload codecs.
 const (
-	codecRaw   byte = 0 // little-endian float32 voxels, as in v3
+	codecRaw   byte = 0 // little-endian float32 voxels
 	codecFlate byte = 1 // DEFLATE-compressed little-endian float32 voxels
 )
 
@@ -164,8 +158,6 @@ const maxFrameBytes = 64 << 20
 // frameHeaderSize is the fixed prefix of every frame: length + type.
 const frameHeaderSize = 5
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrShed marks a request refused by the server's admission control. It is
 // always delivered wrapped as a transient fault: the server is alive but
 // over capacity, and retrying after backoff is exactly what the client's
@@ -185,8 +177,7 @@ const (
 	statusCanceled      blockStatus = 6 // request context ended server-side
 	// statusRedirect answers a block this node does not own under its
 	// current shard map. The entry carries the node's topology epoch (u64)
-	// so a stale client knows to refresh before re-routing. Only sent to
-	// capShard sessions; other peers get statusTransient instead.
+	// so a stale client knows to refresh before re-routing.
 	statusRedirect blockStatus = 7
 )
 
@@ -214,8 +205,8 @@ func statusOf(err error) blockStatus {
 // redirectError is the client-side form of statusRedirect: the addressed
 // node does not own the block under its topology (whose epoch rides
 // along). The router consumes these internally and re-routes; one that
-// escapes to a caller (a non-sharded client against a cluster node) is a
-// transient fault — retrying after the topology converges is correct.
+// escapes to a caller (its route passes exhausted) is a transient fault —
+// retrying after the topology converges is correct.
 type redirectError struct {
 	id    grid.BlockID
 	epoch uint64
@@ -435,7 +426,6 @@ func readFrameBuf(r io.Reader, buf []byte) (byte, []byte, error) {
 // view into the frame payload and is only valid until the next call.
 type blocksIter struct {
 	d     dec
-	v4    bool
 	Req   uint64
 	First int
 	N     int
@@ -450,8 +440,8 @@ type blocksIter struct {
 }
 
 // blocksHeader parses a blocks frame's prelude; ok=false on a short payload.
-func blocksHeader(payload []byte, v4 bool) (blocksIter, bool) {
-	it := blocksIter{d: dec{b: payload}, v4: v4}
+func blocksHeader(payload []byte) (blocksIter, bool) {
+	it := blocksIter{d: dec{b: payload}}
 	it.Req = it.d.u64()
 	it.First = int(it.d.u32())
 	it.N = int(it.d.u16())
@@ -477,9 +467,7 @@ func (it *blocksIter) next() bool {
 	if it.Status != statusOK {
 		return !it.d.bad
 	}
-	if it.v4 {
-		it.Codec = it.d.u8()
-	}
+	it.Codec = it.d.u8()
 	switch it.Codec {
 	case codecRaw:
 		n := int(it.d.u32())
@@ -498,50 +486,6 @@ func (it *blocksIter) next() bool {
 // done reports whether the frame parsed cleanly: every declared entry
 // consumed and nothing trailing.
 func (it *blocksIter) done() bool { return it.k == it.N && it.d.ok() }
-
-// hostLittleEndian gates the zero-copy float32↔byte fast paths: on a
-// little-endian host the wire encoding is the in-memory encoding.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// f32leBytes returns vals' wire bytes as a view of the same memory on
-// little-endian hosts, and nil elsewhere (callers fall back to a
-// conversion loop). The view must not outlive the slice's next write.
-func f32leBytes(vals []float32) []byte {
-	if !hostLittleEndian || len(vals) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*4)
-}
-
-// appendF32LE appends vals' wire encoding to b: one bulk copy on
-// little-endian hosts, a per-value conversion elsewhere.
-func appendF32LE(b []byte, vals []float32) []byte {
-	if raw := f32leBytes(vals); raw != nil {
-		return append(b, raw...)
-	}
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-	}
-	return b
-}
-
-// copyF32LE decodes wire bytes into dst (len(src) must be 4*len(dst)):
-// one bulk copy on little-endian hosts, a per-value conversion elsewhere.
-func copyF32LE(dst []float32, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), len(dst)*4), src)
-		return
-	}
-	for j := range dst {
-		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
-	}
-}
 
 // flateLevel is the wire codec's compression setting: BestSpeed, because
 // the codec is only applied to low-entropy blocks where even the fastest

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,8 +45,6 @@ const (
 // headerSize is the fixed byte size of the file header. In v2 files it is
 // followed by Blocks uint32 checksums, then block data.
 const headerSize = 4 * 10
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Header describes a block file.
 type Header struct {
@@ -191,18 +188,13 @@ func Write(path string, ds *volume.Dataset, g *grid.Grid, variable int) (err err
 	if _, err = w.Write(crcs); err != nil {
 		return err
 	}
-	buf := make([]byte, 4)
+	var buf []byte
 	for _, id := range g.All() {
-		vals := ds.BlockSamples(g, id, variable, 0)
-		crc := uint32(0)
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-			crc = crc32.Update(crc, castagnoli, buf)
-			if _, err = w.Write(buf); err != nil {
-				return err
-			}
+		buf = AppendF32LE(buf[:0], ds.BlockSamples(g, id, variable, 0))
+		binary.LittleEndian.PutUint32(crcs[4*id:], crc32.Checksum(buf, Castagnoli))
+		if _, err = w.Write(buf); err != nil {
+			return err
 		}
-		binary.LittleEndian.PutUint32(crcs[4*id:], crc)
 	}
 	if err = w.Flush(); err != nil {
 		return err
@@ -378,15 +370,13 @@ func (bf *BlockFile) RecycleBlockBuf(vals []float32) {
 // decodes them into a pooled float32 buffer.
 func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
 	if bf.crcs != nil {
-		if got := crc32.Checksum(raw, castagnoli); got != bf.crcs[id] {
+		if got := crc32.Checksum(raw, Castagnoli); got != bf.crcs[id] {
 			return nil, fmt.Errorf("store: block %d: crc 0x%08x, want 0x%08x: %w",
 				id, got, bf.crcs[id], faultio.Permanent(faultio.ErrChecksum))
 		}
 	}
 	vals := bf.getBuf(len(raw) / 4)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
+	CopyF32LE(vals, raw)
 	return vals, nil
 }
 

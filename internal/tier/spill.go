@@ -21,11 +21,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/grid"
+	"repro/internal/store"
 )
 
 const (
@@ -35,10 +35,7 @@ const (
 	tempPattern     = "spill-*.tmp"
 )
 
-var (
-	spillMagic = [4]byte{'t', 's', 'p', 'l'}
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+var spillMagic = [4]byte{'t', 's', 'p', 'l'}
 
 // spillName returns the committed filename for a block.
 func spillName(id grid.BlockID) string {
@@ -59,16 +56,14 @@ func parseSpillName(name string) (grid.BlockID, bool) {
 
 // encodeSpill serializes a block into the on-disk format.
 func encodeSpill(id grid.BlockID, vals []float32) []byte {
-	buf := make([]byte, spillHeaderSize+4*len(vals))
+	buf := make([]byte, spillHeaderSize, spillHeaderSize+4*len(vals))
 	copy(buf[0:4], spillMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], spillVersion)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(id))
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(vals)))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[spillHeaderSize+4*i:], math.Float32bits(v))
-	}
+	buf = store.AppendF32LE(buf, vals)
 	binary.LittleEndian.PutUint32(buf[16:20],
-		crc32.Checksum(buf[spillHeaderSize:], castagnoli))
+		crc32.Checksum(buf[spillHeaderSize:], store.Castagnoli))
 	return buf
 }
 
@@ -94,13 +89,10 @@ func decodeSpill(want grid.BlockID, raw []byte) ([]float32, error) {
 		return nil, fmt.Errorf("tier: spill payload %d bytes, header says %d",
 			len(raw)-spillHeaderSize, 4*n)
 	}
-	if got := crc32.Checksum(raw[spillHeaderSize:], castagnoli); got != binary.LittleEndian.Uint32(raw[16:20]) {
+	if got := crc32.Checksum(raw[spillHeaderSize:], store.Castagnoli); got != binary.LittleEndian.Uint32(raw[16:20]) {
 		return nil, fmt.Errorf("tier: spill checksum mismatch for block %d", want)
 	}
 	vals := make([]float32, n)
-	for i := range vals {
-		vals[i] = math.Float32frombits(
-			binary.LittleEndian.Uint32(raw[spillHeaderSize+4*i:]))
-	}
+	store.CopyF32LE(vals, raw[spillHeaderSize:])
 	return vals, nil
 }

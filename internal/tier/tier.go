@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/cache"
 	"repro/internal/faultio"
 	"repro/internal/grid"
@@ -101,7 +102,12 @@ type Tier struct {
 	dir  string
 	cap  int64
 	fsys faultio.FS
-	br   *breaker
+	// br guards the spill device. Unlike a blocksvc endpoint breaker —
+	// where a checksum fault proves the endpoint works — read corruption
+	// counts as a failure here: a device returning rotten bytes on block
+	// after block is exactly the device to stop trusting. (A single corrupt
+	// file cannot trip it alone: it is quarantined on first read.)
+	br   *breaker.Breaker
 	sync bool
 
 	onEvict func(id grid.BlockID)
@@ -183,7 +189,7 @@ func Open(cfg Config) (*Tier, error) {
 		dir:     cfg.Dir,
 		cap:     cfg.Capacity,
 		fsys:    cfg.FS,
-		br:      newBreaker(cfg.BreakerThreshold, cfg.BreakerBase, cfg.BreakerMax),
+		br:      breaker.New(cfg.BreakerThreshold, cfg.BreakerBase, cfg.BreakerMax),
 		sync:    cfg.Synchronous,
 		onEvict: cfg.OnEvict,
 		pol:     cfg.Policy,
@@ -301,7 +307,7 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		t.spillMisses.Add(1)
 		return nil, false
 	}
-	allowed, _ := t.br.allow(time.Now())
+	allowed, _ := t.br.Allow(time.Now())
 	if !allowed {
 		t.readBypassed.Add(1)
 		t.spillMisses.Add(1)
@@ -325,13 +331,13 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		if !still && errors.Is(err, fs.ErrNotExist) {
 			// Benign race: the entry was evicted between the index check and
 			// the read. The device itself answered fine.
-			if t.br.success() {
+			if t.br.Success() {
 				t.brRecoveries.Add(1)
 			}
 			return nil, false
 		}
 		t.diskFaults.Add(1)
-		if t.br.failure(time.Now()) {
+		if t.br.Failure(time.Now()) {
 			t.brOpens.Add(1)
 		}
 		if still {
@@ -339,7 +345,7 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		}
 		return nil, false
 	}
-	if t.br.success() {
+	if t.br.Success() {
 		t.brRecoveries.Add(1)
 	}
 	t.mu.Lock()
@@ -404,7 +410,7 @@ func (t *Tier) worker() {
 // temp file, full write, fsync, atomic rename. Any fault feeds the breaker
 // and drops the block — spilling is best-effort by design.
 func (t *Tier) spill(req spillReq) {
-	allowed, _ := t.br.allow(time.Now())
+	allowed, _ := t.br.Allow(time.Now())
 	if !allowed {
 		t.writeBypassed.Add(1)
 		return
@@ -424,12 +430,12 @@ func (t *Tier) spill(req spillReq) {
 
 	if err := t.writeSpill(req); err != nil {
 		t.diskFaults.Add(1)
-		if t.br.failure(time.Now()) {
+		if t.br.Failure(time.Now()) {
 			t.brOpens.Add(1)
 		}
 		return
 	}
-	if t.br.success() {
+	if t.br.Success() {
 		t.brRecoveries.Add(1)
 	}
 	t.mu.Lock()
@@ -516,7 +522,7 @@ func (t *Tier) Used() int64 {
 }
 
 // BreakerState returns the disk breaker's state name for diagnostics.
-func (t *Tier) BreakerState() string { return t.br.current().String() }
+func (t *Tier) BreakerState() string { return t.br.State().String() }
 
 // Counters returns a snapshot of tier activity.
 func (t *Tier) Counters() Counters {
@@ -557,7 +563,7 @@ func (t *Tier) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("tier.breaker_recoveries", func() int64 { return t.brRecoveries.Load() })
 	reg.GaugeFunc("tier.blocks", func() int64 { return int64(t.Len()) })
 	reg.GaugeFunc("tier.occupancy_bytes", func() int64 { return t.Used() })
-	reg.GaugeFunc("tier.breaker_state", func() int64 { return int64(t.br.current()) })
+	reg.GaugeFunc("tier.breaker_state", func() int64 { return int64(t.br.State()) })
 }
 
 // Drain blocks until every spill queued so far has been processed. Tests
