@@ -1,8 +1,8 @@
 # Pre-PR checks. `make check` is the gate: vet, build, full tests, the race
 # detector over the concurrent real-I/O packages, the fuzz seed corpus, a
 # chaos smoke over the failure-model paths, a one-iteration bench smoke so
-# benchmark code can't rot, and the frame-path perf gates against the
-# committed baseline.
+# benchmark code can't rot, the benchmark module's own vet and tests, and
+# the frame-path perf gates against the committed baseline.
 GO ?= go
 
 RACE_PKGS := ./internal/store/... ./internal/breaker/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/loadgen/... ./cmd/vizserver/...
@@ -17,9 +17,9 @@ FUZZ_PKGS := ./internal/blocksvc/...
 # and the two-replica network-chaos end-to-end run.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestKeepalive|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads'
 
-.PHONY: check vet build test race chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke load load-smoke fuzz-smoke bench bench-all bench-smoke bench-check
+.PHONY: check vet build test race chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke load load-smoke fuzz-smoke bench bench-all bench-smoke bench-check vizbench-smoke
 
-check: vet build test race chaos-smoke spill-smoke pipe-smoke cluster-smoke load-smoke fuzz-smoke bench-smoke bench-check
+check: vet build test race chaos-smoke spill-smoke pipe-smoke cluster-smoke load-smoke fuzz-smoke bench-smoke vizbench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -111,3 +111,9 @@ load-smoke:
 # decoder change that panics on a known-interesting input fails the gate.
 fuzz-smoke:
 	$(GO) test -run='^Fuzz' $(FUZZ_PKGS)
+
+# vizbench-smoke vets and tests the benchmark of record. vizbench/ is its own
+# Go module (replace repro => ../), so `go build ./...` and `go test ./...`
+# at the root never compile it; this catches a change to a type it names.
+vizbench-smoke:
+	cd vizbench && $(GO) vet . && $(GO) test .

@@ -326,9 +326,6 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 	if spill != nil {
 		mc.OnEvict(func(id grid.BlockID, vals []float32) { spill.Put(id, vals) })
 	}
-	// The simulation drops frame data as soon as counters are tallied, so
-	// evicted decode buffers can be recycled safely.
-	mc.EnableRecycling()
 	mc.Instrument(reg)
 	nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
 	vis, err := visibility.NewTable(g, visibility.Options{
@@ -389,8 +386,7 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 		if err != nil {
 			return err
 		}
-		// The stand-in for rendering: touch every visible block's payload
-		// once, then drop it so the cache can recycle the buffers.
+		// The stand-in for rendering: touch every visible block's payload once.
 		renderSpan := rt.Phases().Begin(obs.PhaseRender)
 		for _, vals := range data {
 			if len(vals) > 0 {
@@ -410,13 +406,11 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 		hits, misses, float64(hits)/float64(maxI64(hits+misses, 1)))
 	fmt.Printf("demand             %d store reads, %d memory hits, %d miss batches\n",
 		st.DemandReads, st.DemandHits, st.DemandBatches)
-	cc := mc.Counters()
-	fmt.Printf("coalesced          %d duplicate in-flight requests merged, %d buffers recycled\n",
-		cc.Coalesced, cc.Recycled)
+	fmt.Printf("coalesced          %d duplicate in-flight requests merged\n", mc.Counters().Coalesced)
 	if bf != nil {
 		ios := bf.IOStats()
-		fmt.Printf("block file         %d blocks served, %d batches (%d batched blocks in %d merged runs), %d/%d decode bufs reused\n",
-			ios.Reads, ios.Batches, ios.BatchBlocks, ios.MergedRuns, ios.BufReuses, ios.BufGets)
+		fmt.Printf("block file         %d blocks served, %d batches (%d batched blocks in %d merged runs)\n",
+			ios.Reads, ios.Batches, ios.BatchBlocks, ios.MergedRuns)
 	}
 	if rr != nil {
 		rs := rr.Snapshot()

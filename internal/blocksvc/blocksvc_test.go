@@ -694,30 +694,25 @@ func TestConcurrentSessionsRace(t *testing.T) {
 
 // TestServeTCP exercises the default TCP transport end to end on loopback,
 // where responses go out as vectored writes: under every compression policy
-// and with server-cache recycling on (raw payloads staged as copies rather
-// than sent as views of a churning cache), every voxel of every block must
+// and with a server cache small enough to evict blocks while their raw
+// payloads are still going out as views, every voxel of every block must
 // match a direct file read.
 func TestServeTCP(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		mode    CompressionMode
-		recycle bool
+		name  string
+		mode  CompressionMode
+		evict bool
 	}{
 		{"off", CompressOff, false},
 		{"low-entropy", CompressLowEntropy, false},
 		{"all", CompressAll, false},
-		{"off-recycling", CompressOff, true},
+		{"off-evicting", CompressOff, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
-			o := svcOpts{prefetch: true, mutate: func(c *Config) {
-				c.Compression = tc.mode
-				if tc.recycle {
-					c.Cache.EnableRecycling()
-				}
-			}}
-			if tc.recycle {
-				o.cacheBytes = 8 * 2048 // 8 of 64 blocks: eviction recycles buffers mid-read
+			o := svcOpts{prefetch: true, mutate: func(c *Config) { c.Compression = tc.mode }}
+			if tc.evict {
+				o.cacheBytes = 8 * 2048 // 8 of 64 blocks: views outlive their cache entries
 			}
 			f := startService(t, o)
 			l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -756,6 +751,9 @@ func TestServeTCP(t *testing.T) {
 			}
 			if compressed := st.CompressedBlocks > 0; compressed != (tc.mode != CompressOff) {
 				t.Errorf("mode %s compressed %d blocks", tc.name, st.CompressedBlocks)
+			}
+			if tc.evict && f.cache.Counters().Evictions == 0 {
+				t.Error("8-block server cache evicted nothing serving 64 blocks")
 			}
 		})
 	}

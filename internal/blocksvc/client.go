@@ -49,6 +49,13 @@ func (ep Endpoint) dialFunc() func(ctx context.Context) (net.Conn, error) {
 	}
 }
 
+const (
+	// dialTimeout bounds one connect-plus-handshake.
+	dialTimeout = 5 * time.Second
+	// breakerMaxBackoff caps an endpoint breaker's doubling probe backoff.
+	breakerMaxBackoff = 8 * time.Second
+)
+
 // ClientConfig configures a RemoteReader.
 type ClientConfig struct {
 	// Addr is the server's TCP address. Ignored when Dial or Endpoints is
@@ -82,8 +89,6 @@ type ClientConfig struct {
 	// flight per connection, within the server's advertised limit
 	// (default 4).
 	PipelineDepth int
-	// DialTimeout bounds one connect-plus-handshake (default 5s).
-	DialTimeout time.Duration
 	// Retry is the reconnect policy: how many times, and with what
 	// backoff, a failed dial is retried before a request gives up on that
 	// endpoint. Nil gets 4 attempts from 10ms doubling to 500ms.
@@ -97,10 +102,9 @@ type ClientConfig struct {
 	// BreakerThreshold is how many consecutive transport failures open an
 	// endpoint's circuit breaker (default 3). While open, the endpoint is
 	// skipped; after BreakerBackoff one probe per window is let through,
-	// and backoff doubles up to BreakerMaxBackoff until a probe succeeds.
-	BreakerThreshold  int
-	BreakerBackoff    time.Duration // default 250ms
-	BreakerMaxBackoff time.Duration // default 8s
+	// and backoff doubles up to 8s until a probe succeeds.
+	BreakerThreshold int
+	BreakerBackoff   time.Duration // default 250ms
 	// FailoverAttempts caps how many connections one batch may try within
 	// a shard before failing its remaining blocks (default one more than
 	// the shard's replica count).
@@ -122,9 +126,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 4
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.Retry == nil {
 		c.Retry = &faultio.Retrier{
 			MaxAttempts: 4,
@@ -137,9 +138,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.BreakerBackoff <= 0 {
 		c.BreakerBackoff = 250 * time.Millisecond
-	}
-	if c.BreakerMaxBackoff <= 0 {
-		c.BreakerMaxBackoff = 8 * time.Second
 	}
 	if c.FailoverAttempts <= 0 {
 		c.FailoverAttempts = len(c.Endpoints) + 1
@@ -180,9 +178,8 @@ type ClientStats struct {
 // store.ContextBlockReader, store.BatchBlockReader, and
 // store.BlockBufRecycler, so it drops into a store.MemCache (and therefore
 // ooc.Runtime) exactly where a local BlockFile would: a whole miss batch
-// travels as tagged requests, returns per-block results, and — with cache
-// recycling on — decodes into buffers evicted earlier instead of
-// allocating.
+// travels as tagged requests and returns per-block results. A cacheless
+// caller that owns its results (loadgen) may hand buffers back for reuse.
 //
 // In cluster mode (a ShardMap configured, or learned from a cluster node's
 // welcome) the reader is a router: a batch is partitioned by consistent-
@@ -359,7 +356,7 @@ func (r *RemoteReader) newGroup(shardID string, eps []Endpoint) *shardGroup {
 			name:  name,
 			shard: shardID,
 			dial:  r.dialFuncFor(e),
-			br:    breaker.New(r.cfg.BreakerThreshold, r.cfg.BreakerBackoff, r.cfg.BreakerMaxBackoff),
+			br:    breaker.New(r.cfg.BreakerThreshold, r.cfg.BreakerBackoff, breakerMaxBackoff),
 		})
 	}
 	g.key = groupKey(shardID, addrs)
@@ -513,7 +510,7 @@ func Dial(cfg ClientConfig) (*RemoteReader, error) {
 		neps += len(g.eps)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(),
-		time.Duration(neps)*cfg.DialTimeout)
+		time.Duration(neps)*dialTimeout)
 	defer cancel()
 	var conn *rconn
 	var err error
@@ -596,10 +593,8 @@ func (r *RemoteReader) getBuf(n int) []float32 {
 const maxClientFreeBufs = 64
 
 // RecycleBlockBuf hands a block buffer back for reuse by a later response
-// decode. It implements store.BlockBufRecycler: a MemCache with recycling
-// enabled feeds evicted blocks here, closing the loop so a steady miss
-// stream decodes into evicted memory instead of allocating. The caller
-// must no longer read the buffer.
+// decode (store.BlockBufRecycler): only a caller that owns the buffer
+// outright may hand it back, and must no longer read it.
 func (r *RemoteReader) RecycleBlockBuf(vals []float32) {
 	if len(vals) == 0 {
 		return
@@ -620,7 +615,7 @@ func (r *RemoteReader) RecycleBlockBuf(vals []float32) {
 func (r *RemoteReader) connect(ctx context.Context, g *shardGroup, ep *endpoint) (*rconn, error) {
 	var conn *rconn
 	attempts, err := r.cfg.Retry.Do(ctx, func(c context.Context) error {
-		tctx, cancel := context.WithTimeout(c, r.cfg.DialTimeout)
+		tctx, cancel := context.WithTimeout(c, dialTimeout)
 		defer cancel()
 		raw, err := ep.dial(tctx)
 		if err != nil {
@@ -693,7 +688,7 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 	if err := rc.bw.Flush(); err != nil {
 		return nil, faultio.Transient(err)
 	}
-	raw.SetReadDeadline(time.Now().Add(r.cfg.DialTimeout))
+	raw.SetReadDeadline(time.Now().Add(dialTimeout))
 	typ, payload, err := readFrame(rc.br)
 	raw.SetReadDeadline(time.Time{})
 	if err != nil {

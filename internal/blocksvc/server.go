@@ -74,15 +74,10 @@ type Config struct {
 	Imp   *entropy.Table
 	Sigma float64
 
-	// Predict tunes the per-session trajectory predictor that extrapolates
-	// recent view updates and feeds the *predicted* camera position into
-	// T_visible, so prefetch warms the blocks of the position the camera
-	// is about to occupy. The zero value selects the defaults documented
-	// on camera.PredictorOptions.
-	Predict camera.PredictorOptions
-	// PredictOff disables trajectory extrapolation: prefetch then looks up
-	// the last-seen camera position — the nearest-sample baseline — which
-	// is exactly the behavior of a one-sample predictor history.
+	// PredictOff disables the per-session trajectory predictor (default
+	// camera.PredictorOptions), which feeds the camera position it
+	// extrapolates from recent view updates into T_visible. Off, prefetch
+	// looks up the last-seen position — the nearest-sample baseline.
 	PredictOff bool
 
 	// MaxInflightBytes caps the bytes of block data being served across all
@@ -97,9 +92,6 @@ type Config struct {
 	// MaxQueueWait bounds how long a request may wait for admission before
 	// being shed. The client's deadline, when sooner, wins (default 100ms).
 	MaxQueueWait time.Duration
-	// MaxBlocksPerRequest bounds one read request (default 65536); larger
-	// requests are a protocol error.
-	MaxBlocksPerRequest int
 	// PrefetchQueue bounds each session's pending-prefetch queue; full
 	// queues drop predictions rather than block (default 128).
 	PrefetchQueue int
@@ -113,12 +105,9 @@ type Config struct {
 	// (default 10s).
 	HandshakeTimeout time.Duration
 	// Compression selects the wire codec policy for clients that negotiate
-	// capCompress. The default is CompressOff.
+	// capCompress. The default is CompressOff; CompressLowEntropy
+	// compresses blocks whose entropy score is below Imp's median.
 	Compression CompressionMode
-	// CompressThreshold is the entropy score below which
-	// CompressLowEntropy compresses a block; 0 means the median of Imp's
-	// score distribution (resolved once at NewServer).
-	CompressThreshold float64
 	// ShardMap, when non-nil, runs the server in cluster mode: this node is
 	// one shard of a consistent-hash cluster, refuses clients that do not
 	// advertise capShard, admits only the blocks it owns (answering others
@@ -155,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = 100 * time.Millisecond
-	}
-	if c.MaxBlocksPerRequest <= 0 {
-		c.MaxBlocksPerRequest = 65536
 	}
 	if c.PrefetchQueue <= 0 {
 		c.PrefetchQueue = 128
@@ -250,7 +236,8 @@ type Server struct {
 	// at admission so its byte accounting and ownership answers agree.
 	topo atomic.Pointer[serverTopology]
 
-	// zthr is the resolved CompressThreshold (CompressLowEntropy only).
+	// zthr is the entropy score below which CompressLowEntropy compresses
+	// a block: the median of Imp's scores, resolved once at NewServer.
 	zthr float64
 
 	statsMu sync.Mutex
@@ -272,8 +259,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Compression == CompressLowEntropy && cfg.Imp == nil {
 		return nil, fmt.Errorf("blocksvc: entropy-aware compression needs an importance table")
 	}
-	zthr := cfg.CompressThreshold
-	if cfg.Compression == CompressLowEntropy && zthr == 0 {
+	var zthr float64
+	if cfg.Compression == CompressLowEntropy {
 		zthr = cfg.Imp.ThresholdForQuantile(0.5)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -339,9 +326,9 @@ func (e *notOwnedError) Unwrap() error { return faultio.ErrTransient }
 // must carry a higher epoch than the current one, and takes effect for
 // every request admitted afterwards. Connected capShard sessions get the
 // map pushed as a topology frame so their routers re-route live traffic,
-// and cache entries this node no longer owns are evicted immediately —
-// their memory goes back to the recycler instead of aging out. A node
-// absent from the new map keeps serving redirects until its clients leave.
+// and cache entries this node no longer owns are evicted immediately
+// instead of aging out. A node absent from the new map keeps serving
+// redirects until its clients leave.
 func (s *Server) UpdateShardMap(m *shard.Map) error {
 	if s.topo.Load() == nil {
 		return fmt.Errorf("blocksvc: not in cluster mode")
@@ -447,7 +434,7 @@ func (s *Server) StartSession(conn net.Conn) bool {
 		ss.prefetchCh = make(chan grid.BlockID, s.cfg.PrefetchQueue)
 		ss.prefetched = make(map[grid.BlockID]struct{})
 		if !s.cfg.PredictOff {
-			ss.pred = camera.NewPredictor(s.cfg.Predict)
+			ss.pred = camera.NewPredictor(camera.PredictorOptions{})
 		}
 	}
 	s.sessions[ss] = struct{}{}
@@ -596,12 +583,8 @@ type session struct {
 	// the wire, so a pushed frame can never precede it.
 	caps     uint32
 	wireCaps atomic.Uint32
-	// tcp is non-nil when the transport supports vectored writes. zeroCopy
-	// reports that cache buffers are immutable once handed out (a
-	// little-endian host with recycling off), so raw payloads can go out
-	// as views of them instead of staged copies.
-	tcp      *net.TCPConn
-	zeroCopy bool
+	// tcp is non-nil when the transport supports vectored writes.
+	tcp *net.TCPConn
 
 	reqWG sync.WaitGroup
 
@@ -779,7 +762,6 @@ func (ss *session) handshake() error {
 	}
 	ss.caps = hello.Caps & serverCaps
 	ss.tcp, _ = ss.conn.(*net.TCPConn)
-	ss.zeroCopy = store.HostLittleEndian && !ss.s.cfg.Cache.RecyclingEnabled()
 	h := ss.s.cfg.Header
 	var e enc
 	e.u16(ProtoVersion)
@@ -832,7 +814,7 @@ func (ss *session) fail(msg string) {
 // (requests pipeline; responses interleave at frame granularity, keyed by
 // request id). Returns false on a protocol error.
 func (ss *session) handleRead(payload []byte) bool {
-	msg, ok := decodeRead(payload, ss.s.cfg.MaxBlocksPerRequest)
+	msg, ok := decodeRead(payload, maxBlocksPerRequest)
 	if !ok {
 		ss.fail("bad read request")
 		return false
@@ -1101,9 +1083,9 @@ func (rs *runScratch) flateInto(vals []float32) (int, bool) {
 
 // sendRun encodes one run of results as a blocks frame and ships it. The
 // staging holds the frame header, every block's metadata and any DEFLATE
-// payloads the compression policy selected; raw payloads go out as views
-// of the cache's buffers when those are immutable (zeroCopy) and as staged
-// copies otherwise. The frame length is patched in once the run is encoded.
+// payloads the compression policy selected. Raw payloads go out as views
+// of the cache's immutable buffers on a little-endian host and as staged
+// byte-swapped copies elsewhere. The frame length is patched in last.
 func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
 	vals [][]float32, errs []error) bool {
 	compress := ss.caps&capCompress != 0
@@ -1145,7 +1127,7 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 		}
 		e.u8(codecRaw)
 		e.u32(uint32(raw))
-		if ss.zeroCopy {
+		if store.HostLittleEndian {
 			pay := store.F32LEBytes(vals[i])
 			cuts = append(cuts, len(e.b))
 			pays = append(pays, pay)

@@ -155,6 +155,10 @@ const (
 // make either side allocate unboundedly.
 const maxFrameBytes = 64 << 20
 
+// maxBlocksPerRequest bounds the ids one read request may carry; a larger
+// declared count is a protocol error.
+const maxBlocksPerRequest = 65536
+
 // frameHeaderSize is the fixed prefix of every frame: length + type.
 const frameHeaderSize = 5
 

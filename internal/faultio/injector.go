@@ -125,15 +125,6 @@ func (in *Injector) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]flo
 	return vals, errs
 }
 
-// RecycleBlockBuf forwards decode-buffer recycling to the underlying reader
-// when it supports it, so an injector in the stack does not defeat buffer
-// reuse. It implements the store package's BlockBufRecycler.
-func (in *Injector) RecycleBlockBuf(vals []float32) {
-	if rec, ok := in.r.(interface{ RecycleBlockBuf([]float32) }); ok {
-		rec.RecycleBlockBuf(vals)
-	}
-}
-
 // ReadBlockContext reads the block, applying the configured fault mix. The
 // injected latency is interruptible by ctx.
 func (in *Injector) ReadBlockContext(ctx context.Context, id grid.BlockID) ([]float32, error) {

@@ -45,13 +45,9 @@ import (
 // Options configures the runtime.
 type Options struct {
 	// DemandWorkers sizes the persistent demand pool: the maximum number of
-	// concurrent miss batches/retries per runtime (default GOMAXPROCS).
+	// concurrent miss batches/retries per runtime (default GOMAXPROCS). A
+	// frame's miss set is split into at most this many contiguous batches.
 	DemandWorkers int
-	// DemandChunks caps how many contiguous batches a frame's miss set is
-	// split into (default DemandWorkers). Lower it below DemandWorkers when
-	// the backing reader multiplexes requests itself (a pipelining
-	// RemoteReader) and per-batch overhead outweighs extra read parallelism.
-	DemandChunks int
 	// PrefetchWorkers bounds background prefetch goroutines (default 2).
 	PrefetchWorkers int
 	// QueueDepth bounds the pending-prefetch queue; when full, further
@@ -82,9 +78,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DemandWorkers <= 0 {
 		o.DemandWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.DemandChunks <= 0 || o.DemandChunks > o.DemandWorkers {
-		o.DemandChunks = o.DemandWorkers
 	}
 	if o.PrefetchWorkers <= 0 {
 		o.PrefetchWorkers = 2
@@ -415,10 +408,7 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 			return int(visible[a]) - int(visible[b])
 		})
 		fs := &frameState{ctx: ctx, r: r, out: out, rep: &rep}
-		chunks := r.opts.DemandChunks
-		if chunks > len(missIdx) {
-			chunks = len(missIdx)
-		}
+		chunks := min(r.opts.DemandWorkers, len(missIdx))
 		per := (len(missIdx) + chunks - 1) / chunks
 		for lo := 0; lo < len(missIdx); lo += per {
 			hi := lo + per

@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"context"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -203,15 +204,7 @@ func TestPrefetchImprovesSecondFrame(t *testing.T) {
 	if _, _, err := r.Frame(ctx, p1, v1); err != nil {
 		t.Fatal(err)
 	}
-	// Give the async prefetchers time to drain the queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st := r.Snapshot()
-		if st.PrefetchExecuted+st.PrefetchFailed+st.PrefetchDropped >= st.PrefetchIssued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settlePrefetch(r)
 	hitsBefore, missesBefore := r.CacheStats()
 	v2 := visibility.VisibleSet(f.g, camera.Camera{Pos: p2, ViewAngle: theta})
 	if _, _, err := r.Frame(ctx, p2, v2); err != nil {
@@ -225,6 +218,77 @@ func TestPrefetchImprovesSecondFrame(t *testing.T) {
 	if newHits <= newMisses {
 		t.Errorf("second frame: %d hits vs %d misses; prefetch ineffective",
 			newHits, newMisses)
+	}
+}
+
+// settlePrefetch gives the async prefetchers up to 5s to finish every
+// prefetch issued so far (executed, failed or dropped).
+func settlePrefetch(r *Runtime) {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		st := r.Snapshot()
+		if st.PrefetchExecuted+st.PrefetchFailed+st.PrefetchDropped >= st.PrefetchIssued {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFrameBlocksImmutablePastEviction pins that a block Frame returns is
+// the block on disk for as long as the caller holds it: an orbit whose
+// cache is smaller than one frame, let alone frame plus prefetch set,
+// evicts returned blocks while render-window prefetches run, and after
+// each frame's prefetches settle every block of every frame so far must
+// still match its bvol CRC32C.
+func TestFrameBlocksImmutablePastEviction(t *testing.T) {
+	f := newFixture(t, 12)
+	r, err := New(f.cache, f.vis, f.imp, Options{Sigma: -1, PrefetchWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	theta := vec.Radians(20)
+	pos := vec.New(0, 0, 3)
+	type held struct {
+		id   grid.BlockID
+		vals []float32
+	}
+	var frames [][]held
+	for step := 0; step < 24; step++ {
+		visible := visibility.VisibleSet(f.g, camera.Camera{Pos: pos, ViewAngle: theta})
+		data, rep, err := r.Frame(context.Background(), pos, visible)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Degraded {
+			t.Fatalf("step %d: healthy store degraded frame: %+v", step, rep)
+		}
+		frame := make([]held, len(visible))
+		for i, id := range visible {
+			frame[i] = held{id, data[i]}
+		}
+		frames = append(frames, frame)
+		settlePrefetch(r)
+		for k, fr := range frames {
+			for _, b := range fr {
+				want, ok := f.bf.BlockChecksum(b.id)
+				if !ok {
+					t.Fatalf("block %d: no checksum in the block file", b.id)
+				}
+				if got := crc32.Checksum(store.AppendF32LE(nil, b.vals), store.Castagnoli); got != want {
+					t.Fatalf("after step %d: frame %d block %d crc 0x%08x, want 0x%08x",
+						step, k, b.id, got, want)
+				}
+			}
+		}
+		pos = vec.RotateAbout(pos, vec.New(0, 1, 0), vec.Radians(15))
+	}
+	st := r.Snapshot()
+	if st.PrefetchExecuted == 0 {
+		t.Errorf("no prefetch executed: %+v", st)
+	}
+	if n := f.cache.Counters().Evictions; n == 0 {
+		t.Error("12-block cache evicted nothing over a 24-step orbit")
 	}
 }
 

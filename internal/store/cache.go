@@ -10,6 +10,10 @@ package store
 // for the same uncached block coalesce onto a single backing-store read
 // (singleflight), and GetBatch hands whole miss sets to a BatchBlockReader
 // so adjacent blocks merge into sequential I/O.
+//
+// Cached blocks are immutable: no slice the cache hands out is ever
+// written again, so a caller may hold one (or send it as a socket view)
+// past its eviction and still see exactly the bytes the reader decoded.
 
 import (
 	"context"
@@ -42,9 +46,8 @@ type inflightRef struct {
 
 // MemCache caches decoded blocks in memory. Safe for concurrent use.
 type MemCache struct {
-	r        BlockReader
-	batch    BatchBlockReader // non-nil when r supports batched reads
-	recycler BlockBufRecycler // non-nil when r can reuse decode buffers
+	r     BlockReader
+	batch BatchBlockReader // non-nil when r supports batched reads
 
 	capacity int64
 
@@ -53,24 +56,19 @@ type MemCache struct {
 	data     map[grid.BlockID][]float32
 	inflight map[grid.BlockID]inflightRef
 	used     int64
-	recycle  bool
 	onEvict  func(id grid.BlockID, vals []float32)
 
-	hits, misses  int64
-	coalesced     int64 // requests served by waiting on another's read
-	evictions     int64 // blocks pushed out by the replacement policy
-	recycled      int64 // evicted slices handed back for reuse
-	recycledBytes int64 // bytes of those slices
+	hits, misses int64
+	coalesced    int64 // requests served by waiting on another's read
+	evictions    int64 // blocks pushed out by the replacement policy
 }
 
 // CacheCounters is a snapshot of MemCache activity beyond plain hit/miss.
 type CacheCounters struct {
-	Hits          int64 // requests served from cached memory
-	Misses        int64 // requests that initiated a backing-store read
-	Coalesced     int64 // requests served by sharing another request's read
-	Evictions     int64 // blocks pushed out by the replacement policy
-	Recycled      int64 // evicted block buffers handed back for reuse
-	RecycledBytes int64 // bytes of evicted buffers handed back for reuse
+	Hits      int64 // requests served from cached memory
+	Misses    int64 // requests that initiated a backing-store read
+	Coalesced int64 // requests served by sharing another request's read
+	Evictions int64 // blocks pushed out by the replacement policy
 }
 
 // NewMemCache wraps the block reader with a cache of the given byte
@@ -96,41 +94,15 @@ func NewMemCache(r BlockReader, capacity int64, p cache.Policy) (*MemCache, erro
 	if br, ok := r.(BatchBlockReader); ok {
 		c.batch = br
 	}
-	if rec, ok := r.(BlockBufRecycler); ok {
-		c.recycler = rec
-	}
 	return c, nil
-}
-
-// EnableRecycling turns on reuse of evicted block buffers: eviction hands
-// the victim's slice back to the reader (BlockBufRecycler) so a later read
-// decodes into it instead of allocating. Only enable it when cached slices
-// are known to be short-lived outside the cache — a caller still holding a
-// Get/Frame result past the block's eviction would see its contents
-// overwritten. Off by default; no-op if the reader cannot recycle.
-func (c *MemCache) EnableRecycling() {
-	c.mu.Lock()
-	c.recycle = c.recycler != nil
-	c.mu.Unlock()
-}
-
-// RecyclingEnabled reports whether evicted buffers are being reused. When
-// false, a slice handed out by Get/GetBatch is immutable for its lifetime —
-// the property zero-copy consumers (vectored writes of cache-owned memory)
-// rely on.
-func (c *MemCache) RecyclingEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recycle
 }
 
 // OnEvict registers a callback invoked for every block the replacement
 // policy pushes out, carrying the block's still-valid decoded voxels —
 // the write-behind feed a spill tier needs to persist evictions without
-// re-reading them. The callback runs before any buffer recycling, so vals
-// is intact for its duration, but it executes under the cache lock: it must
-// return quickly (copy or enqueue, no I/O) and must not call back into the
-// cache. A nil fn disables the feed.
+// re-reading them. The callback may keep the immutable vals, but it runs
+// under the cache lock: it must only enqueue (no I/O, no encoding) and must
+// not call back into the cache. A nil fn disables the feed.
 func (c *MemCache) OnEvict(fn func(id grid.BlockID, vals []float32)) {
 	c.mu.Lock()
 	c.onEvict = fn
@@ -433,17 +405,12 @@ func (c *MemCache) evict(id grid.BlockID) {
 	if c.onEvict != nil {
 		c.onEvict(id, vals)
 	}
-	if c.recycle {
-		c.recycled++
-		c.recycledBytes += int64(len(vals)) * 4
-		c.recycler.RecycleBlockBuf(vals)
-	}
 }
 
 // EvictWhere evicts every resident block the predicate selects, returning
 // how many were evicted. Used when block ownership moves away from this
-// node (a cluster topology change): the departed blocks' memory goes back
-// to the recycler immediately instead of aging out. Reads in flight are
+// node (a cluster topology change): the departed blocks stop taking
+// capacity immediately instead of aging out. Reads in flight are
 // unaffected — the singleflight map is not touched, so a concurrent miss
 // still completes and may re-install.
 func (c *MemCache) EvictWhere(pred func(grid.BlockID) bool) int {
@@ -469,17 +436,15 @@ func (c *MemCache) Stats() (hits, misses int64) {
 }
 
 // Counters returns the full activity snapshot, including coalesced requests
-// and recycled buffers.
+// and evictions.
 func (c *MemCache) Counters() CacheCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheCounters{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Coalesced:     c.coalesced,
-		Evictions:     c.evictions,
-		Recycled:      c.recycled,
-		RecycledBytes: c.recycledBytes,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Coalesced: c.coalesced,
+		Evictions: c.evictions,
 	}
 }
 
@@ -492,8 +457,6 @@ func (c *MemCache) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("cache.misses", func() int64 { return c.Counters().Misses })
 	reg.CounterFunc("cache.coalesced", func() int64 { return c.Counters().Coalesced })
 	reg.CounterFunc("cache.evictions", func() int64 { return c.Counters().Evictions })
-	reg.CounterFunc("cache.recycled", func() int64 { return c.Counters().Recycled })
-	reg.CounterFunc("cache.recycled_bytes", func() int64 { return c.Counters().RecycledBytes })
 	reg.GaugeFunc("cache.used_bytes", c.Used)
 	reg.GaugeFunc("cache.blocks", func() int64 { return int64(c.Len()) })
 }

@@ -78,11 +78,10 @@ type BatchBlockReader interface {
 	ReadBlocks(ctx context.Context, ids []grid.BlockID) (vals [][]float32, errs []error)
 }
 
-// BlockBufRecycler is optionally implemented by readers that can reuse
-// previously decoded block buffers for future reads. Callers must hand back
-// only slices no longer referenced anywhere — a recycled buffer's contents
-// are overwritten by a later read. MemCache feeds evicted slices to it when
-// recycling is explicitly enabled (see MemCache.EnableRecycling).
+// BlockBufRecycler is optionally implemented by readers that can decode
+// later reads into buffers handed back. Only a caller that owns a decoded
+// buffer outright (it read the block itself; nothing else references it)
+// may hand it back. No cache feeds it: MemCache blocks are immutable.
 type BlockBufRecycler interface {
 	RecycleBlockBuf([]float32)
 }
@@ -90,9 +89,6 @@ type BlockBufRecycler interface {
 // maxMergedRunBytes caps how many bytes one merged ReadAt may cover, so a
 // huge contiguous miss batch stays within a bounded staging buffer.
 const maxMergedRunBytes = 8 << 20
-
-// maxFreeBufs bounds the decode-buffer free list (per BlockFile).
-const maxFreeBufs = 64
 
 // BlockFile reads blocks from a block-layout file.
 type BlockFile struct {
@@ -104,27 +100,21 @@ type BlockFile struct {
 
 	staging sync.Pool // *[]byte raw staging buffers, reused across reads
 
-	freeMu sync.Mutex
-	free   [][]float32 // recycled decode buffers (fed via RecycleBlockBuf)
-
 	reads       atomic.Int64 // blocks served (single + batched)
 	batches     atomic.Int64 // ReadBlocks calls
 	mergedRuns  atomic.Int64 // ReadAt calls issued by ReadBlocks
 	batchBlocks atomic.Int64 // blocks served through ReadBlocks
 	stagingGets atomic.Int64 // staging-buffer requests
 	stagingNews atomic.Int64 // staging requests that had to allocate
-	bufGets     atomic.Int64 // decode-buffer requests
-	bufReuses   atomic.Int64 // decode requests served from the free list
 }
 
 var _ BlockReader = (*BlockFile)(nil)
 var _ BatchBlockReader = (*BlockFile)(nil)
-var _ BlockBufRecycler = (*BlockFile)(nil)
 var _ faultio.Checksummer = (*BlockFile)(nil)
 
 // IOStats counts a BlockFile's read-path activity: how many blocks were
 // served, how batching merged them into sequential runs, and how often the
-// staging and decode buffer pools avoided an allocation.
+// staging buffer pool avoided an allocation.
 type IOStats struct {
 	Reads       int64 // blocks served, single and batched
 	Batches     int64 // ReadBlocks calls
@@ -132,8 +122,6 @@ type IOStats struct {
 	BatchBlocks int64 // blocks served through ReadBlocks
 	StagingGets int64 // staging ([]byte) buffer requests
 	StagingNews int64 // staging requests that allocated fresh memory
-	BufGets     int64 // decode ([]float32) buffer requests
-	BufReuses   int64 // decode requests served from recycled buffers
 }
 
 // IOStats returns a snapshot of the file's read-path counters.
@@ -145,8 +133,6 @@ func (bf *BlockFile) IOStats() IOStats {
 		BatchBlocks: bf.batchBlocks.Load(),
 		StagingGets: bf.stagingGets.Load(),
 		StagingNews: bf.stagingNews.Load(),
-		BufGets:     bf.bufGets.Load(),
-		BufReuses:   bf.bufReuses.Load(),
 	}
 }
 
@@ -333,41 +319,8 @@ func (bf *BlockFile) putStaging(b []byte) {
 	bf.staging.Put(&b)
 }
 
-// getBuf returns a decode buffer of exactly n float32s, reusing a recycled
-// buffer when one is large enough (size-checked: a too-small candidate is
-// left for smaller blocks).
-func (bf *BlockFile) getBuf(n int) []float32 {
-	bf.bufGets.Add(1)
-	bf.freeMu.Lock()
-	for i := len(bf.free) - 1; i >= 0 && i >= len(bf.free)-8; i-- {
-		if cap(bf.free[i]) >= n {
-			buf := bf.free[i]
-			bf.free = append(bf.free[:i], bf.free[i+1:]...)
-			bf.freeMu.Unlock()
-			bf.bufReuses.Add(1)
-			return buf[:n]
-		}
-	}
-	bf.freeMu.Unlock()
-	return make([]float32, n)
-}
-
-// RecycleBlockBuf hands a decoded block buffer back for reuse by a later
-// read. The caller must guarantee no live reference to the slice remains:
-// its contents will be overwritten. It implements BlockBufRecycler.
-func (bf *BlockFile) RecycleBlockBuf(vals []float32) {
-	if cap(vals) == 0 {
-		return
-	}
-	bf.freeMu.Lock()
-	if len(bf.free) < maxFreeBufs {
-		bf.free = append(bf.free, vals)
-	}
-	bf.freeMu.Unlock()
-}
-
 // decode verifies the block's checksum over its raw bytes (v2 files) and
-// decodes them into a pooled float32 buffer.
+// decodes them into a freshly allocated float32 buffer.
 func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
 	if bf.crcs != nil {
 		if got := crc32.Checksum(raw, Castagnoli); got != bf.crcs[id] {
@@ -375,16 +328,15 @@ func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
 				id, got, bf.crcs[id], faultio.Permanent(faultio.ErrChecksum))
 		}
 	}
-	vals := bf.getBuf(len(raw) / 4)
+	vals := make([]float32, len(raw)/4)
 	CopyF32LE(vals, raw)
 	return vals, nil
 }
 
 // ReadBlock reads one block's voxels, verifying its checksum on v2 files. A
 // mismatch is reported as a permanent faultio.ErrChecksum fault: the bytes
-// on disk are rotten and rereading cannot help. The returned slice is owned
-// by the caller (until the caller itself recycles it). Safe for concurrent
-// use (ReadAt).
+// on disk are rotten and rereading cannot help. The returned slice is newly
+// allocated and owned by the caller. Safe for concurrent use (ReadAt).
 func (bf *BlockFile) ReadBlock(id grid.BlockID) ([]float32, error) {
 	if int(id) < 0 || int(id) >= bf.g.NumBlocks() {
 		return nil, fmt.Errorf("store: block %d out of range: %w", id, faultio.ErrPermanent)

@@ -771,44 +771,6 @@ func TestGetBatchUnderInjectedFaults(t *testing.T) {
 	}
 }
 
-// TestRecyclingReusesEvictedBuffers churns a tiny cache with recycling on:
-// evicted decode buffers must be reused by later reads, and the data served
-// must stay correct.
-func TestRecyclingReusesEvictedBuffers(t *testing.T) {
-	path, ds, g := writeTestFile(t)
-	bf, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bf.Close()
-	c, err := NewMemCache(bf, 2*bf.BlockBytes(0), cache.NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.EnableRecycling()
-	ctx := context.Background()
-	for round := 0; round < 3; round++ {
-		for id := 0; id < g.NumBlocks(); id += 7 {
-			vals, _, err := c.Get(ctx, grid.BlockID(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ds.BlockSamples(g, grid.BlockID(id), 0, 0)
-			for j := range want {
-				if vals[j] != want[j] {
-					t.Fatalf("round %d block %d differs at %d", round, id, j)
-				}
-			}
-		}
-	}
-	if n := c.Counters().Recycled; n == 0 {
-		t.Error("no buffers recycled despite churn")
-	}
-	if st := bf.IOStats(); st.BufReuses == 0 {
-		t.Error("no decode buffers reused despite recycling")
-	}
-}
-
 // TestStagingPoolReuse pins the staging-buffer pool: repeated single reads
 // must stop allocating staging memory after the first.
 func TestStagingPoolReuse(t *testing.T) {
@@ -892,9 +854,7 @@ func TestReadBlocksCanceledContext(t *testing.T) {
 
 // TestMemCacheEvictionCallback pins the write-behind feed: the OnEvict
 // callback must fire for every policy eviction, in eviction order, with the
-// block's decoded voxels still intact — even with recycling enabled, where
-// the buffer is handed back for reuse immediately after the callback
-// returns.
+// block's decoded voxels still intact.
 func TestMemCacheEvictionCallback(t *testing.T) {
 	path, ds, g := writeTestFile(t)
 	bf, err := Open(path)
@@ -906,7 +866,6 @@ func TestMemCacheEvictionCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableRecycling()
 	var evicted []grid.BlockID
 	c.OnEvict(func(id grid.BlockID, vals []float32) {
 		// vals must hold the block's true data at callback time.
@@ -938,9 +897,6 @@ func TestMemCacheEvictionCallback(t *testing.T) {
 		if evicted[i] != want[i] {
 			t.Fatalf("evictions = %v, want %v", evicted, want)
 		}
-	}
-	if n := c.Counters().Recycled; n == 0 {
-		t.Error("callback must not suppress recycling")
 	}
 	// nil unregisters: further evictions are silent.
 	c.OnEvict(nil)

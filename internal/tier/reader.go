@@ -17,11 +17,11 @@ const batchReadParallelism = 8
 // Reader interposes the spill tier between store.MemCache and a backing
 // block reader (typically blocksvc.RemoteReader): every DRAM miss first
 // checks local flash, and only a flash miss pays the network round trip.
-// It implements the whole store reader surface — BlockReader,
-// ContextBlockReader, BatchBlockReader, BlockBufRecycler — by serving what
-// it can from the tier and forwarding the rest to whichever of those
-// interfaces the inner reader supports, so MemCache's batch and recycling
-// optimizations keep working through the interposition.
+// It implements the store reader surface MemCache uses — BlockReader,
+// ContextBlockReader, BatchBlockReader — by serving what it can from the
+// tier and forwarding the rest to whichever of those interfaces the inner
+// reader supports, so MemCache's batched misses keep working through the
+// interposition.
 type Reader struct {
 	inner store.BlockReader
 	tier  *Tier
@@ -103,13 +103,4 @@ func (r *Reader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float3
 		vals[pos], errs[pos] = r.ReadBlockContext(ctx, missIDs[j])
 	}
 	return vals, errs
-}
-
-// RecycleBlockBuf implements store.BlockBufRecycler by forwarding to the
-// inner reader when it recycles; tier-served buffers are freshly decoded
-// and pool-compatible, so they feed the same pool.
-func (r *Reader) RecycleBlockBuf(vals []float32) {
-	if rec, ok := r.inner.(store.BlockBufRecycler); ok {
-		rec.RecycleBlockBuf(vals)
-	}
 }

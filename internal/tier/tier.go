@@ -1,10 +1,10 @@
 // Package tier provides the persistent SSD spill tier that sits under
 // store.MemCache in the remote-rendering path: DRAM miss → SSD spill lookup
 // → remote fetch. Blocks enter the tier by write-behind — MemCache's
-// eviction callback hands each victim's decoded voxels to Put, which
-// encodes them under the caller's lock (a fast copy) and spills them from
-// an asynchronous worker, so a block fetched over the network once is
-// re-served from local flash for the rest of the session.
+// eviction callback hands each victim's immutable voxels to Put, which only
+// enqueues them for an asynchronous worker to encode and spill, so a block
+// fetched over the network once is re-served from local flash for the rest
+// of the session.
 //
 // The tier is crash-safe and disk-fault tolerant by construction:
 //
@@ -89,11 +89,11 @@ type Config struct {
 	OnEvict func(id grid.BlockID)
 }
 
-// spillReq is one encoded block queued for the spill worker; a request
-// with done set is a Drain barrier instead.
+// spillReq is one block queued for the spill worker; a request with done
+// set is a Drain barrier instead.
 type spillReq struct {
 	id   grid.BlockID
-	data []byte
+	vals []float32
 	done chan struct{}
 }
 
@@ -357,34 +357,25 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 	return vals, true
 }
 
-// Put offers a block for spilling. It is designed to run inside
-// MemCache.OnEvict — under the DRAM cache's lock — so it only encodes
-// (one copy) and enqueues; the disk work, including the breaker gate,
-// happens on the spill worker. Blocks already resident, arriving on a full
-// queue, or dequeued while the breaker is open are skipped, never blocked
-// on.
+// Put offers a block for spilling. It runs inside MemCache.OnEvict — under
+// the DRAM cache's lock — so it only enqueues the immutable slice; encoding
+// and disk work, breaker gate included, happen on the spill worker. Blocks
+// already resident, arriving on a full queue, or dequeued while the breaker
+// is open are skipped, never blocked on.
 func (t *Tier) Put(id grid.BlockID, vals []float32) {
 	if len(vals) == 0 {
 		return
 	}
+	req := spillReq{id: id, vals: vals}
 	t.mu.Lock()
-	if t.closed {
+	_, resident := t.index[id] // already spilled: the on-disk copy is still valid
+	if t.closed || resident {
 		t.mu.Unlock()
 		return
 	}
-	if _, ok := t.index[id]; ok {
-		t.mu.Unlock()
-		return // already spilled; the on-disk copy is still valid
-	}
-	t.mu.Unlock()
-	req := spillReq{id: id, data: encodeSpill(id, vals)}
 	if t.sync {
+		t.mu.Unlock()
 		t.spill(req)
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
 		return
 	}
 	select {
@@ -392,6 +383,7 @@ func (t *Tier) Put(id grid.BlockID, vals []float32) {
 	default:
 		t.dropped.Add(1)
 	}
+	t.mu.Unlock()
 }
 
 // worker drains the spill queue until Close.
@@ -406,16 +398,16 @@ func (t *Tier) worker() {
 	}
 }
 
-// spill writes one queued block to disk with the crash-safe discipline:
-// temp file, full write, fsync, atomic rename. Any fault feeds the breaker
-// and drops the block — spilling is best-effort by design.
+// spill encodes one queued block and writes it to disk with the crash-safe
+// discipline: temp file, full write, fsync, atomic rename. Any fault feeds
+// the breaker and drops the block — spilling is best-effort by design.
 func (t *Tier) spill(req spillReq) {
 	allowed, _ := t.br.Allow(time.Now())
 	if !allowed {
 		t.writeBypassed.Add(1)
 		return
 	}
-	size := int64(len(req.data))
+	size := int64(spillHeaderSize + 4*len(req.vals))
 	t.mu.Lock()
 	if _, ok := t.index[req.id]; ok || size > t.cap {
 		t.mu.Unlock()
@@ -428,7 +420,7 @@ func (t *Tier) spill(req spillReq) {
 	t.mu.Unlock()
 	t.dropVictims(victims)
 
-	if err := t.writeSpill(req); err != nil {
+	if err := t.writeSpill(req.id, encodeSpill(req.id, req.vals)); err != nil {
 		t.diskFaults.Add(1)
 		if t.br.Failure(time.Now()) {
 			t.brOpens.Add(1)
@@ -447,13 +439,13 @@ func (t *Tier) spill(req spillReq) {
 }
 
 // writeSpill stages, syncs, and publishes one spill file.
-func (t *Tier) writeSpill(req spillReq) error {
+func (t *Tier) writeSpill(id grid.BlockID, data []byte) error {
 	f, err := t.fsys.CreateTemp(t.dir, tempPattern)
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	_, err = f.Write(req.data)
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -461,7 +453,7 @@ func (t *Tier) writeSpill(req spillReq) error {
 		err = cerr
 	}
 	if err == nil {
-		err = t.fsys.Rename(tmp, filepath.Join(t.dir, spillName(req.id)))
+		err = t.fsys.Rename(tmp, filepath.Join(t.dir, spillName(id)))
 	}
 	if err != nil {
 		t.fsys.Remove(tmp) // best effort; rescan reclaims survivors
